@@ -1,23 +1,20 @@
-// Extension bench: the dense front-kernel microbenchmark — kernel × front
-// size × block size, GFLOP/s per cell, into front_kernels.csv.
+// Extension bench: the dense front-kernel microbenchmark — ISA path ×
+// front size × block size, GFLOP/s per cell, into front_kernels.csv.
 //
 // Synthesizes deterministic dense SPD fronts (the multifrontal engine's
-// inner payload, isolated from the tree) and times partial_factor for the
-// scalar reference, the cache-blocked kernel and the parallel-tiled kernel
-// across block sizes, at both a full Cholesky (η = m) and the
-// representative partial front (η = m/2). Per cell it also cross-checks
-// the result against the scalar reference — blocked must match bit for
-// bit, parallel within the residual contract — so a kernel regression
-// cannot hide behind a fast wrong answer.
+// inner payload, isolated from the tree) and times partial_factor at both
+// a full Cholesky (η = m) and the representative partial front (η = m/2):
+// serially on the portable path and on the dispatched SIMD path across
+// block sizes, then with the trailing updates leased out to the worker
+// pool. Every cell is cross-checked bit for bit against the portable
+// path's factor (itself pinned to the scalar reference by tests/dense), so
+// a kernel regression cannot hide behind a fast wrong answer.
 //
-// TREEMEM_SCALE ≥ 2 adds larger fronts (the regime where cache blocking
-// and intra-front parallelism pay); the parallel kernel's worker count
-// honors TREEMEM_THREADS via default_thread_count. Parallel-tiled cells
-// are measured twice — leasing from the persistent worker pool (the
-// production dispatch) and on the legacy per-panel fork/join path — so the
-// "leased/fork" column isolates what retiring per-panel thread births buys
-// at each front size.
-#include <cmath>
+// TREEMEM_SCALE ≥ 2 adds larger fronts (the regime where the register
+// tiles and intra-front leases pay); the leased cells' worker count
+// honors TREEMEM_THREADS via the pool size.
+#include <algorithm>
+#include <cstring>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -26,10 +23,10 @@
 #include "bench_common.hpp"
 #include "dense/front_kernel.hpp"
 #include "dense/spd_front.hpp"
+#include "parallel/worker_pool.hpp"
+#include "support/check.hpp"
 #include "support/csv.hpp"
-#include "support/parallel_for.hpp"
 #include "support/text_table.hpp"
-#include "support/timer.hpp"
 
 namespace {
 
@@ -42,10 +39,8 @@ std::string fmt(double v, int precision = 2) {
 }
 
 struct Cell {
+  DenseIsa isa = DenseIsa::kPortable;
   KernelConfig config;
-  double seconds = 0.0;
-  long long flops = 0;
-  bool bit_identical = false;
 };
 
 int run() {
@@ -57,130 +52,103 @@ int run() {
   if (scale >= 4.0) {
     sizes.push_back(1024);
   }
-  const std::size_t block_sizes[] = {16, 48, 96};
+  const DenseIsa simd = dispatched_isa();
 
   bench::print_header(
-      "Extension — dense front kernels: scalar vs cache-blocked vs "
-      "parallel-tiled, GFLOP/s");
+      "Extension — dense front kernel: portable vs " +
+      std::string(to_string(simd)) + " path, serial and leased, GFLOP/s");
 
   CsvWriter csv(bench::output_dir() + "/front_kernels.csv",
-                {"kernel", "block_size", "workers", "dispatch", "m", "eta",
-                 "seconds", "gflops", "bit_identical_to_scalar"});
-  TextTable table({"m", "eta", "scalar GF/s", "best blocked GF/s (nb)",
-                   "best parallel GF/s (nb)", "blocked speedup",
-                   "leased/fork"});
+                {"isa", "block_size", "workers", "m", "eta", "seconds",
+                 "gflops"});
+  TextTable table({"m", "eta", "portable GF/s", "serial GF/s (nb)",
+                   "leased GF/s", "SIMD speedup"});
 
-  const unsigned workers = default_thread_count();
+  const unsigned pool_workers = WorkerPool::instance().size();
+  const auto serial = [](std::size_t nb) {
+    KernelConfig config;
+    config.block_size = nb;
+    config.workers = 1;
+    return config;
+  };
+  // Leased: the production configuration, with the lease gate forced open
+  // so the column measures intra-front parallelism (and its overhead on
+  // small fronts) rather than re-measuring the serial kernel.
+  KernelConfig leased;
+  leased.min_parallel_volume = 0;
+  // The portable cell runs first: its factor is the reference.
+  const std::vector<Cell> cells = {{DenseIsa::kPortable, serial(16)},
+                                   {simd, serial(16)},
+                                   {simd, serial(48)},
+                                   {simd, serial(96)},
+                                   {simd, leased}};
+
   for (const std::size_t m : sizes) {
     for (const std::size_t eta : {m, m / 2}) {
       if (eta == 0) {
         continue;
       }
       const std::vector<double> original = make_dense_spd_front(m, m + eta);
-      std::vector<double> reference = original;
-      make_front_kernel({})->partial_factor(reference.data(), m, eta,
-                                            nullptr);
-
-      std::vector<Cell> cells;
-      cells.push_back({KernelConfig{}, 0.0, 0, true});
-      for (const KernelKind kind :
-           {KernelKind::kBlocked, KernelKind::kParallelTiled}) {
-        for (const std::size_t nb : block_sizes) {
-          KernelConfig config;
-          config.kind = kind;
-          config.block_size = nb;
-          if (kind == KernelKind::kParallelTiled) {
-            // Force the parallel path on every panel: these cells must
-            // measure intra-front parallelism (including its overhead on
-            // fronts below the production gate), not silently re-measure
-            // the blocked kernel, or the CSV's workers column would lie.
-            config.min_parallel_volume = 0;
-            // Same tiles, both dispatchers: leased from the persistent
-            // pool, then the legacy per-panel fork/join.
-            cells.push_back({config, 0.0, 0, false});
-            config.fork_join = true;
-          }
-          cells.push_back({config, 0.0, 0, false});
-        }
-      }
-
-      const int reps = m >= 512 ? 1 : 3;
-      double scalar_gflops = 1e-12;
-      double best_blocked = 0.0, best_parallel = 0.0, best_forkjoin = 0.0;
-      std::size_t best_blocked_nb = 0, best_parallel_nb = 0;
-      for (Cell& cell : cells) {
-        const auto kernel = make_front_kernel(cell.config);
+      std::vector<double> reference;
+      const int reps = m >= 512 ? 3 : 5;
+      double portable = 0.0, best_serial = 0.0, leased_gflops = 0.0;
+      std::size_t best_nb = 0;
+      for (const Cell& cell : cells) {
+        const auto kernel = detail::make_front_kernel_on(cell.config, cell.isa);
         std::vector<double> work;
-        cell.seconds = bench::median_time_s(
+        long long flops = 0;
+        const double seconds = bench::median_time_s(
             [&] {
               work = original;
-              cell.flops = kernel->partial_factor(work.data(), m, eta,
-                                                  nullptr);
+              flops = kernel->partial_factor(work.data(), m, eta, nullptr);
             },
             reps);
-        cell.bit_identical = work == reference;
-        if (cell.config.kind == KernelKind::kBlocked) {
-          // The blocked kernel preserves the reference's per-entry update
-          // order exactly; anything else is a kernel bug.
-          TM_CHECK(cell.bit_identical,
-                   "blocked kernel diverged from the scalar reference at m="
-                       << m << " nb=" << cell.config.block_size);
-        } else {
-          TM_CHECK(relative_frobenius_distance(reference, work) <= 1e-12,
-                   "kernel " << to_string(cell.config.kind)
-                             << " violated the residual contract at m=" << m);
+        if (reference.empty()) {
+          reference = work;
         }
-        const double gflops = static_cast<double>(cell.flops) /
-                              std::max(cell.seconds, 1e-12) / 1e9;
-        if (cell.config.kind == KernelKind::kScalar) {
-          scalar_gflops = gflops;
-        } else if (cell.config.kind == KernelKind::kBlocked) {
-          if (gflops > best_blocked) {
-            best_blocked = gflops;
-            best_blocked_nb = cell.config.block_size;
-          }
-        } else if (cell.config.fork_join) {
-          best_forkjoin = std::max(best_forkjoin, gflops);
-        } else if (gflops > best_parallel) {
-          best_parallel = gflops;
-          best_parallel_nb = cell.config.block_size;
+        // Bitwise comparison: -0.0 and +0.0 differ here.
+        TM_CHECK(std::memcmp(work.data(), reference.data(),
+                             work.size() * sizeof(double)) == 0,
+                 to_string(cell.isa)
+                     << " kernel diverged from the portable path at m=" << m
+                     << " nb=" << cell.config.block_size);
+        const double gflops =
+            static_cast<double>(flops) / std::max(seconds, 1e-12) / 1e9;
+        const bool is_leased = cell.config.workers != 1;
+        if (cell.isa == DenseIsa::kPortable && !is_leased) {
+          portable = gflops;
         }
-        const bool tiled = cell.config.kind == KernelKind::kParallelTiled;
+        if (is_leased) {
+          leased_gflops = gflops;
+        } else if (cell.isa == simd && gflops > best_serial) {
+          best_serial = gflops;
+          best_nb = cell.config.block_size;
+        }
         csv.write_row(
-            {to_string(cell.config.kind),
+            {to_string(cell.isa),
              CsvWriter::cell(static_cast<long long>(cell.config.block_size)),
-             CsvWriter::cell(static_cast<long long>(tiled ? workers : 1)),
-             !tiled ? "serial" : cell.config.fork_join ? "forkjoin" : "leased",
+             CsvWriter::cell(
+                 static_cast<long long>(is_leased ? pool_workers : 1)),
              CsvWriter::cell(static_cast<long long>(m)),
              CsvWriter::cell(static_cast<long long>(eta)),
-             CsvWriter::cell(cell.seconds), CsvWriter::cell(gflops),
-             cell.bit_identical ? "1" : "0"});
+             CsvWriter::cell(seconds), CsvWriter::cell(gflops)});
       }
-      table.add_row({std::to_string(m), std::to_string(eta),
-                     fmt(scalar_gflops),
-                     fmt(best_blocked) + " (" +
-                         std::to_string(best_blocked_nb) + ")",
-                     fmt(best_parallel) + " (" +
-                         std::to_string(best_parallel_nb) + ")",
-                     fmt(best_blocked / scalar_gflops) + "x",
-                     fmt(best_parallel / std::max(best_forkjoin, 1e-12)) +
-                         "x"});
+      table.add_row({std::to_string(m), std::to_string(eta), fmt(portable),
+                     fmt(best_serial) + " (" + std::to_string(best_nb) + ")",
+                     fmt(leased_gflops),
+                     fmt(best_serial / std::max(portable, 1e-12)) + "x"});
     }
   }
 
   std::cout << table.to_string();
-  std::cout << "\nreading: the cache-blocked kernel streams the trailing\n"
-               "matrix once per panel instead of once per pivot, so its\n"
-               "advantage over the scalar reference grows with the front\n"
-               "(the multifrontal root-front regime); the parallel-tiled\n"
-               "kernel adds intra-front threads on top for the largest\n"
-               "fronts (workers = " +
-                   std::to_string(workers) +
-                   " here). The leased/fork column is the\n"
-                   "leased-dispatch GF/s over the per-panel fork/join GF/s\n"
-                   "for the best parallel cell — the persistent pool's win\n"
-                   "per panel. Blocked results are checked bit-identical\n"
-                   "to the scalar reference on every cell.\n";
+  std::cout << "\nreading: the register-tiled trailing update keeps a\n"
+               "4-column tile in vector registers across each 16-pivot\n"
+               "panel, so the SIMD path's lead over the portable one grows\n"
+               "with the front (the multifrontal root-front regime); leased\n"
+               "cells add up to workers = " +
+                   std::to_string(pool_workers) +
+                   " pool workers per panel on top.\nEvery cell is checked "
+                   "bit-identical to the portable path's factor.\n";
   std::cout << "raw data: " << csv.path() << "\n";
   return 0;
 }

@@ -20,20 +20,17 @@
 //     zero symbolic misses), and a repeat-values trace through the
 //     numeric-factor cache (cached/refactorize solves-per-sec must clear
 //     the 1.5x floor);
-//   * the worker-pool fork-overhead microbench: a private 4-worker pool
-//     serves 64 lease/run rounds — its threads_spawned/leases_granted/
-//     leases_denied counters are exact (gated exactly) — against the same
-//     loop on the legacy fork/join path, whose thread-birth count shows
-//     the per-panel spawn cost the persistent pool retired (~64x fewer
-//     births here, unbounded as panels grow); per-dispatch wall-clock is
-//     reported but only warned on;
-//   * the tree x front scaling sweep: factor_parallel with the leased
-//     runtime (persistent pool + elastic crewing) vs the PR 8
-//     configuration (held crew + fork/join kernel dispatch) at w in
-//     {1, 2, 4} on the two largest corpus instances, min-of-3 interleaved,
-//     plus a root-front-dominated instance at w = 4 with elastic crewing
-//     on vs off — the case where idle tree-level workers get absorbed by
-//     the root front's trailing updates;
+//   * the worker-pool microbench: a private 4-worker pool serves 64
+//     lease/run rounds — its threads_spawned/leases_granted/leases_denied
+//     counters are exact (gated exactly); per-round wall-clock is
+//     reported for the record;
+//   * the root-front scenario: a root-front-dominated instance at w = 4
+//     with elastic crewing on vs off — the case where idle tree-level
+//     workers get absorbed by the root front's trailing updates;
+//   * the dense-kernel floor: serial GF/s of the dispatched SIMD path vs
+//     the portable path on a 1024-row root front (η = m), measured in this
+//     process, min-of-5 interleaved — the checker requires >= 2x unless
+//     the portable path is the one dispatched;
 //   * the tracing-overhead scenario: the largest corpus instance factorized
 //     at w = 4 with the trace recorder off vs on (min-of-5, interleaved) —
 //     the "tracing is cheap enough to leave instrumented" contract; the
@@ -46,6 +43,7 @@
 // reproducible). TREEMEM_OUT still picks the output directory.
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <iomanip>
 #include <iostream>
@@ -53,11 +51,12 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/minmem.hpp"
+#include "dense/front_kernel.hpp"
+#include "dense/spd_front.hpp"
 #include "multifrontal/numeric_parallel.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_sim.hpp"
@@ -67,7 +66,7 @@
 #include "solver/solver_pool.hpp"
 #include "solver/symbolic_store.hpp"
 #include "sparse/generators.hpp"
-#include "support/parallel_for.hpp"
+#include "support/check.hpp"
 #include "support/prng.hpp"
 #include "support/timer.hpp"
 
@@ -136,8 +135,8 @@ double service_solves_per_sec(const ServiceTrace& trace, bool use_cache) {
 int run() {
   bench::print_header(
       "regression report — admission stalls, simulated speedups, service "
-      "throughput, worker-pool counters, scaling sweep, tracing overhead "
-      "(BENCH_10.json)");
+      "throughput, worker-pool counters, root front, dense kernel floor, "
+      "tracing overhead (BENCH_10.json)");
 
   // Scale pinned: this report must mean the same thing on every machine.
   const auto instances = build_numeric_instances(CorpusOptions{}, 5);
@@ -294,14 +293,13 @@ int run() {
   std::cout << "repeat values: factor_hits=" << factor_cached.factors.hits
             << " cached/refactor=" << num(repeat_ratio) << "\n";
 
-  // --- Worker-pool fork-overhead microbench ------------------------------
+  // --- Worker-pool microbench ---------------------------------------------
   // A private pool keeps the counters machine-independent: 64 lease/run
-  // rounds against a 4-worker pool spawn exactly 4 threads, ever; the same
-  // 64 loops on the legacy fork/join path birth 4 threads *per round*.
-  // The spin between rounds waits for the previous crew to park so every
-  // round's try_lease finds the full pool — that makes leases_granted/
-  // leases_denied exact, and the checker gates all five counters exactly.
-  // The per-round wall-clock pair is reported but only warned on.
+  // rounds against a 4-worker pool spawn exactly 4 threads, ever. Waiting
+  // for quiescence between rounds lets every round's try_lease find the
+  // full pool — that makes leases_granted/leases_denied exact, and the
+  // checker gates all four counters exactly. The per-round wall-clock is
+  // reported for the record.
   {
     constexpr unsigned kPoolSize = 4;
     constexpr int kRounds = 64;
@@ -314,92 +312,23 @@ int run() {
     WorkerPool microbench_pool(kPoolSize);
     Timer leased_wall;
     for (int round = 0; round < kRounds; ++round) {
-      while (microbench_pool.idle_workers() != kPoolSize) {
-        std::this_thread::yield();
-      }
+      microbench_pool.wait_idle();
       microbench_pool.try_lease(kPoolSize - 1).run(kTiles, tiny_body);
     }
     const double leased_us = leased_wall.elapsed_s() * 1e6 / kRounds;
     const WorkerPoolStats pool_stats = microbench_pool.stats();
-
-    const long long births_before = forkjoin_threads_spawned();
-    Timer forkjoin_wall;
-    for (int round = 0; round < kRounds; ++round) {
-      forkjoin_parallel_for(kTiles, tiny_body, kPoolSize);
-    }
-    const double forkjoin_us = forkjoin_wall.elapsed_s() * 1e6 / kRounds;
-    const long long forkjoin_births =
-        forkjoin_threads_spawned() - births_before;
-    const double birth_ratio =
-        pool_stats.threads_spawned > 0
-            ? static_cast<double>(forkjoin_births) /
-                  static_cast<double>(pool_stats.threads_spawned)
-            : 0.0;
     json << "  \"worker_pool\": {\"pool_size\": " << kPoolSize
          << ", \"rounds\": " << kRounds
          << ", \"threads_spawned\": " << pool_stats.threads_spawned
          << ", \"leases_granted\": " << pool_stats.leases_granted
          << ", \"leases_denied\": " << pool_stats.leases_denied
          << ", \"workers_leased\": " << pool_stats.workers_leased
-         << ", \"forkjoin_births\": " << forkjoin_births
-         << ", \"birth_ratio\": " << num(birth_ratio)
-         << ", \"leased_round_us\": " << num(leased_us)
-         << ", \"forkjoin_round_us\": " << num(forkjoin_us) << "},\n";
+         << ", \"leased_round_us\": " << num(leased_us) << "},\n";
     std::cout << "worker pool: spawned=" << pool_stats.threads_spawned
-              << " forkjoin_births=" << forkjoin_births << " (x"
-              << num(birth_ratio) << " births retired); leased_round="
-              << num(leased_us) << "us forkjoin_round=" << num(forkjoin_us)
-              << "us\n";
+              << " leased_round=" << num(leased_us) << "us\n";
   }
 
-  // --- Tree x front scaling sweep ----------------------------------------
-  // Leased runtime (persistent pool + elastic crewing, the new defaults)
-  // vs the PR 8 shape (held crew + per-panel fork/join dispatch behind the
-  // old 8 Mflop gate) on the two largest corpus instances. Wall-clock,
-  // hence min-of-3 interleaved; the checker warns below 1.0x and fails
-  // only on a real loss — leasing must never lose to thread spawning.
   json << "  \"scaling\": {\n";
-  json << "    \"instances\": [\n";
-  const std::size_t first_scaled =
-      instances.size() > 2 ? instances.size() - 2 : 0;
-  constexpr int kScaleWorkers[] = {1, 2, 4};
-  for (std::size_t i = first_scaled; i < instances.size(); ++i) {
-    const NumericInstance& instance = instances[i];
-    json << "      {\"name\": \"" << instance.name << "\", \"workers\": {";
-    bool first_cell = true;
-    for (const int workers : kScaleWorkers) {
-      ParallelFactorOptions leased;
-      leased.workers = workers;
-      leased.kernel.kind = KernelKind::kParallelTiled;
-      ParallelFactorOptions forkjoin = leased;
-      forkjoin.lease_idle_workers = false;
-      forkjoin.kernel.fork_join = true;
-      forkjoin.kernel.min_parallel_volume = 1u << 22;  // the PR 8 gate
-      double leased_s = std::numeric_limits<double>::max();
-      double forkjoin_s = std::numeric_limits<double>::max();
-      for (int rep = 0; rep < 3; ++rep) {
-        const ParallelFactorResult a =
-            factor_parallel(instance.matrix, instance.assembly, leased);
-        const ParallelFactorResult b =
-            factor_parallel(instance.matrix, instance.assembly, forkjoin);
-        leased_s = std::min(leased_s, a.factor_seconds);
-        forkjoin_s = std::min(forkjoin_s, b.factor_seconds);
-      }
-      const double speed_ratio = leased_s > 0.0 ? forkjoin_s / leased_s : 0.0;
-      json << (first_cell ? "" : ", ") << "\"w" << workers
-           << "\": {\"leased_s\": " << num(leased_s)
-           << ", \"forkjoin_s\": " << num(forkjoin_s)
-           << ", \"ratio\": " << num(speed_ratio) << "}";
-      first_cell = false;
-      std::cout << "scaling " << instance.name << " w=" << workers
-                << ": leased=" << num(leased_s * 1e3) << "ms forkjoin="
-                << num(forkjoin_s * 1e3) << "ms ratio=" << num(speed_ratio)
-                << "\n";
-    }
-    json << "}}" << (i + 1 < instances.size() ? ",\n" : "\n");
-  }
-  json << "    ],\n";
-
   // Root-front-dominated case: heavy amalgamation concentrates the flops
   // in a few large fronts, so most of the tree-level crew has nothing to
   // do — the shape where elastic crewing pays, because idle workers return
@@ -416,7 +345,6 @@ int run() {
         {"root-front", raw}, OrderingKind::kMinDegree, 8, 9001);
     ParallelFactorOptions elastic;
     elastic.workers = 4;
-    elastic.kernel.kind = KernelKind::kParallelTiled;
     elastic.kernel.block_size = 8;           // several tiles per root panel
     elastic.kernel.min_parallel_volume = 0;  // every panel leases
     ParallelFactorOptions held = elastic;
@@ -450,6 +378,53 @@ int run() {
   }
   json << "  },\n";
 
+  // --- Dense-kernel floor ------------------------------------------------
+  // Serial partial_factor of a 1024-row root front (η = m) on the
+  // dispatched SIMD path vs the portable path, in this process, min-of-5
+  // interleaved. The two paths must produce the same bits; the checker
+  // requires the SIMD path to run >= 2x the portable one unless the
+  // portable path is the one dispatched.
+  {
+    constexpr std::size_t kFront = 1024;
+    const std::vector<double> original = make_dense_spd_front(kFront, 2011);
+    KernelConfig serial;
+    serial.workers = 1;
+    const DenseIsa simd = dispatched_isa();
+    const auto fast = detail::make_front_kernel_on(serial, simd);
+    const auto portable =
+        detail::make_front_kernel_on(serial, DenseIsa::kPortable);
+    double fast_s = std::numeric_limits<double>::max();
+    double portable_s = std::numeric_limits<double>::max();
+    long long flops = 0;
+    std::vector<double> fast_front, portable_front;
+    for (int rep = 0; rep < 5; ++rep) {
+      fast_front = original;
+      Timer fast_wall;
+      flops = fast->partial_factor(fast_front.data(), kFront, kFront, nullptr);
+      fast_s = std::min(fast_s, fast_wall.elapsed_s());
+      portable_front = original;
+      Timer portable_wall;
+      portable->partial_factor(portable_front.data(), kFront, kFront, nullptr);
+      portable_s = std::min(portable_s, portable_wall.elapsed_s());
+    }
+    TM_CHECK(std::memcmp(fast_front.data(), portable_front.data(),
+                         fast_front.size() * sizeof(double)) == 0,
+             "dense kernel: " << to_string(simd)
+                              << " and portable factors differ");
+    const double gflops = static_cast<double>(flops) / fast_s / 1e9;
+    const double portable_gflops =
+        static_cast<double>(flops) / portable_s / 1e9;
+    const double ratio = gflops / portable_gflops;
+    json << "  \"dense_kernel\": {\"isa\": \"" << to_string(simd)
+         << "\", \"m\": " << kFront << ", \"eta\": " << kFront
+         << ", \"gflops\": " << num(gflops)
+         << ", \"portable_gflops\": " << num(portable_gflops)
+         << ", \"ratio\": " << num(ratio) << "},\n";
+    std::cout << "dense kernel m=" << kFront << ": " << to_string(simd) << " "
+              << num(gflops) << " GF/s vs portable " << num(portable_gflops)
+              << " GF/s (x" << num(ratio) << ")\n";
+  }
+
   // --- Tracing overhead --------------------------------------------------
   // The observability contract: instrumentation may sit on the per-panel
   // and per-lease hot paths permanently because a traced run costs at most
@@ -462,7 +437,6 @@ int run() {
     const NumericInstance& instance = instances.back();
     ParallelFactorOptions traced_options;
     traced_options.workers = 4;
-    traced_options.kernel.kind = KernelKind::kParallelTiled;
     obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
     double untraced_s = std::numeric_limits<double>::max();
     double traced_s = std::numeric_limits<double>::max();

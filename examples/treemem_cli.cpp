@@ -12,9 +12,8 @@
 //                     [--relax R] [--memory M]
 //                     [--traversal auto|postorder|liu|minmem]
 //                     [--admission greedy|lookahead|reservation]
-//                     [--workers W] [--kernel scalar|blocked|parallel[:nb]]
-//                     [--rhs K] [--seed S] [--synthetic] [--csv stats.csv]
-//                     [--trace out.json]
+//                     [--workers W] [--rhs K] [--seed S] [--synthetic]
+//                     [--csv stats.csv] [--trace out.json]
 //       The full pipeline: analyze -> plan -> factorize -> solve with K
 //       right-hand sides, printing the per-phase SolverStats and optionally
 //       appending them to a CSV (the bench-smoke artifact format). The
@@ -87,9 +86,8 @@ int usage() {
          " [--relax R] [--memory M]\n"
       << "                    [--traversal auto|postorder|liu|minmem]"
          " [--admission greedy|lookahead|reservation] [--workers W]\n"
-      << "                    [--kernel scalar|blocked|parallel[:nb]]"
-         " [--rhs K] [--seed S] [--synthetic] [--csv stats.csv]"
-         " [--trace out.json]\n"
+      << "                    [--rhs K] [--seed S] [--synthetic]"
+         " [--csv stats.csv] [--trace out.json]\n"
       << "  treemem_cli serve <trace.txt> [solve flags] [--pool-workers W]"
          " [--repeat R]\n"
       << "                    [--cache-entries N] [--cache-bytes B]"
@@ -157,7 +155,6 @@ struct CliOptions {
   std::string traversal_name = "auto";
   std::string admission_name = "greedy";
   int workers = 0;
-  std::string kernel_spec;
   int rhs = 1;
   std::uint64_t seed = 2011;
   bool synthetic = false;
@@ -219,10 +216,6 @@ std::optional<SolverOptions> solver_options_of(const CliOptions& cli) {
   }
   options.factorize.workers = cli.workers;
   options.factorize.admission = *admission;
-  if (!cli.kernel_spec.empty()) {
-    options.factorize.kernel =
-        parse_kernel_spec(cli.kernel_spec, options.factorize.kernel);
-  }
   return options;
 }
 
@@ -608,8 +601,6 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
         cli.workers = static_cast<int>(
             parse_int_strict(argv[++i], 0, 1024, "--workers"));
-      } else if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
-        cli.kernel_spec = argv[++i];
       } else if (std::strcmp(argv[i], "--rhs") == 0 && i + 1 < argc) {
         cli.rhs =
             static_cast<int>(parse_int_strict(argv[++i], 1, 4096, "--rhs"));

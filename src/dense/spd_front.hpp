@@ -1,10 +1,8 @@
-// Shared support for exercising the dense front kernels: deterministic
-// dense SPD front synthesis and the residual-contract metric. Used by the
-// tests/dense suite and the front-kernel benches so the generator recipe
-// and the contract threshold cannot drift between the two.
+// Shared support for exercising the dense front kernel: deterministic
+// dense SPD front synthesis, used by the tests/dense suite and the
+// front-kernel benches so the generator recipe cannot drift between them.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -16,7 +14,7 @@ namespace treemem {
 /// A dense SPD front (column-major m×m, lower triangle filled, upper part
 /// zero — the storage FrontKernel::partial_factor consumes): off-diagonals
 /// in [-0.75, 0.75] with `zero_fraction` exact zeros planted below the
-/// diagonal (the kernels' shared zero-multiplier skip is part of what gets
+/// diagonal (the kernel's zero-multiplier skip is part of what gets
 /// exercised), diagonal made dominant. Deterministic in `seed`.
 inline std::vector<double> make_dense_spd_front(std::size_t m,
                                                 std::uint64_t seed,
@@ -38,20 +36,6 @@ inline std::vector<double> make_dense_spd_front(std::size_t m,
     a[k * m + k] = 1.0 + row_abs[k];
   }
   return a;
-}
-
-/// ‖b − a‖_F / ‖a‖_F over same-layout value arrays — the metric of the
-/// parallel-tiled kernel's residual contract (dense/front_kernel.hpp);
-/// tests and benches compare it against 1e-12.
-inline double relative_frobenius_distance(const std::vector<double>& a,
-                                          const std::vector<double>& b) {
-  double norm = 0.0, diff = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    norm += a[i] * a[i];
-    const double d = b[i] - a[i];
-    diff += d * d;
-  }
-  return std::sqrt(diff) / std::max(std::sqrt(norm), 1e-300);
 }
 
 }  // namespace treemem

@@ -175,7 +175,7 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   // Extend-add the children contribution blocks, releasing each as it is
   // absorbed. Children are walked in tree order (not completion order), so
   // the floating-point sums — and hence the factor — are schedule-exact
-  // under every kernel (the kernel only scatters one child at a time).
+  // (the kernel only scatters one child at a time).
   for (const NodeId c : tree.children(s)) {
     ContributionBlock& cb = blocks_[static_cast<std::size_t>(c)];
     const std::size_t cm = cb.rows.size();
@@ -188,9 +188,8 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
     cb.values.shrink_to_fit();
   }
 
-  // Dense partial Cholesky of the leading eta pivots via the configured
-  // kernel (dense/front_kernel.hpp) — scalar reference, cache-blocked, or
-  // parallel-tiled for intra-front parallelism.
+  // Dense partial Cholesky of the leading eta pivots via the dense kernel
+  // (dense/front_kernel.hpp), which leases pool workers for large fronts.
   flops_.fetch_add(
       kernel_->partial_factor(ws.front.data(), m, eta, cols.data()),
       std::memory_order_relaxed);
@@ -272,6 +271,9 @@ MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
             "contribution blocks leaked: " << engine.live_entries());
   result.peak_live_entries = engine.peak_live_entries();
   result.flops = engine.flops();
+  const KernelLeaseStats leases = engine.kernel_lease_stats();
+  result.leases_granted = leases.leases_granted;
+  result.lease_denied = leases.leases_denied;
   result.factor = engine.take_factor();
   return result;
 }

@@ -46,14 +46,8 @@ struct ParallelFactorOptions {
   /// Optional bottom-up witness traversal of the assembly tree for the
   /// non-greedy policies; empty = the MinMem optimum.
   Traversal serial_witness = {};
-  /// Dense front kernel (dense/front_kernel.hpp). The default honors the
-  /// TREEMEM_KERNEL environment override and otherwise runs the scalar
-  /// reference. Note the env parse is strict: default-constructing this
-  /// struct under a malformed TREEMEM_KERNEL throws (fail fast at the
-  /// experiment boundary). Code that must stay env-independent — the
-  /// Solver facade does this — names every member in a designated
-  /// initializer so this default is never evaluated.
-  KernelConfig kernel = kernel_config_from_env();
+  /// Dense front kernel tuning (dense/front_kernel.hpp).
+  KernelConfig kernel;
   /// Elastic crewing (ExecutorOptions::lease_idle_workers): tree-level
   /// workers with no ready front return to the persistent pool mid-run,
   /// where a large front's trailing-update lease can absorb them — the
@@ -85,7 +79,7 @@ struct ParallelFactorResult {
   Traversal completion_order;
   /// Intra-front lease tallies of the run's kernel: panels that cleared
   /// the volume gate and got pool workers / found none idle and ran
-  /// inline. Both 0 under the serial kernels.
+  /// inline.
   long long leases_granted = 0;
   long long lease_denied = 0;
   /// Measured occupancy at each front's allocation instant / right after

@@ -251,11 +251,20 @@ void WorkerPool::worker_main(unsigned slot_index) {
 }
 
 void WorkerPool::park_locked(unsigned slot_index) {
-  slots_[slot_index]->state = SlotState::kIdle;
-  idle_.push_back(slot_index);
-  if (idle_.size() == slots_.size()) {
-    all_idle_cv_.notify_all();
+  Slot& slot = *slots_[slot_index];
+  if (slot.state == SlotState::kRunning) {
+    --running_;
   }
+  slot.state = SlotState::kIdle;
+  idle_.push_back(slot_index);
+  if (running_ == 0) {
+    quiescent_cv_.notify_all();
+  }
+}
+
+void WorkerPool::wait_idle() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  quiescent_cv_.wait(lock, [&] { return running_ == 0; });
 }
 
 WorkerLease WorkerPool::try_lease(unsigned max_workers) {
@@ -297,6 +306,7 @@ WorkerLease WorkerPool::try_lease(unsigned max_workers) {
 void WorkerPool::arm_locked(unsigned slot_index, std::function<void()> job) {
   Slot& slot = *slots_[slot_index];
   slot.state = SlotState::kRunning;
+  ++running_;
   slot.job = std::move(job);
   slot.cv.notify_one();
 }
@@ -343,12 +353,14 @@ void WorkerPool::shutdown() {
   if (slots_.empty()) {
     return;  // already shut down
   }
+  // Running workers re-park on their own; only a reserved one is a bug.
+  quiescent_cv_.wait(lock, [&] { return running_ == 0; });
   TM_CHECK(idle_.size() == slots_.size(),
            "WorkerPool::shutdown: " << slots_.size() - idle_.size()
                                     << " of " << slots_.size()
-                                    << " workers still leased or running — "
-                                       "release all leases before tearing "
-                                       "the pool down");
+                                    << " workers still leased — release all "
+                                       "leases before tearing the pool "
+                                       "down");
   stopping_ = true;
   for (const std::unique_ptr<Slot>& slot : slots_) {
     slot->cv.notify_all();
@@ -375,7 +387,8 @@ WorkerPool::~WorkerPool() {
     // (leased) workers park when their lease releases. Waiting here is the
     // no-throw destructor's only option — callers should release leases
     // first (RAII ordering does this naturally).
-    all_idle_cv_.wait(lock, [&] { return idle_.size() == slots_.size(); });
+    quiescent_cv_.wait(lock,
+                       [&] { return idle_.size() == slots_.size(); });
     stopping_ = true;
     for (const std::unique_ptr<Slot>& slot : slots_) {
       slot->cv.notify_all();

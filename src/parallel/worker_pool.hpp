@@ -117,6 +117,14 @@ class WorkerPool {
   /// Workers currently parked (momentary; for observability/tests).
   unsigned idle_workers() const;
 
+  /// The quiescence contract: blocks until no worker is running a job —
+  /// every dispatched job and every lease helper has returned *and*
+  /// re-parked. (A lease's run() returns once its indices are done, which
+  /// can be a moment before its helpers park; this is the wait that
+  /// closes that gap, with no sleeping or spinning.) Workers reserved by a
+  /// lease that has not run stay reserved and are not waited for.
+  void wait_idle();
+
   /// True when TREEMEM_AFFINITY=1 resolved at construction (the pinning
   /// itself is Linux-only).
   bool affinity() const { return affinity_; }
@@ -138,8 +146,9 @@ class WorkerPool {
 
   WorkerPoolStats stats() const;
 
-  /// Stops and joins all workers. Throws treemem::Error if any worker is
-  /// still leased or running — tearing down under an active lease is a
+  /// Waits for running workers to re-park (wait_idle), then stops and
+  /// joins all workers. Throws treemem::Error if any worker is still
+  /// reserved by a lease — tearing down under an outstanding lease is a
   /// caller bug (the clean-error contract pinned by
   /// tests/parallel/worker_pool_test.cpp). Idempotent once it succeeds.
   void shutdown();
@@ -168,7 +177,8 @@ class WorkerPool {
   };
 
   void worker_main(unsigned slot_index);
-  /// Under mutex_: moves `slot` back to the idle stack.
+  /// Under mutex_: moves `slot` back to the idle stack and wakes the
+  /// quiescence waiters when nothing is running any more.
   void park_locked(unsigned slot_index);
   /// Returns reserved-but-unused slots (lease release / destructor path).
   void release_reserved(const std::vector<unsigned>& slots);
@@ -177,9 +187,11 @@ class WorkerPool {
   void arm_locked(unsigned slot_index, std::function<void()> job);
 
   mutable std::mutex mutex_;
-  std::condition_variable all_idle_cv_;  ///< destructor's drain signal
+  /// Signaled when running_ drops to 0 (wait_idle, shutdown, destructor).
+  std::condition_variable quiescent_cv_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<unsigned> idle_;  ///< stack of idle slot indices
+  unsigned running_ = 0;        ///< slots in SlotState::kRunning
   bool stopping_ = false;
   bool affinity_ = false;
 

@@ -83,7 +83,6 @@ SolverOptions solver_options_from_env(SolverOptions base) {
     base.plan.admission = *admission;
     base.factorize.admission = *admission;
   }
-  base.factorize.kernel = kernel_config_from_env(base.factorize.kernel);
   return base;
 }
 
@@ -500,6 +499,12 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   const int workers = options.workers > 0
                           ? options.workers
                           : static_cast<int>(default_thread_count());
+  // The run's worker count also caps the kernel's intra-front width, so
+  // workers = 1 (a SolverPool job, say) really runs on one thread.
+  KernelConfig kernel = options.kernel;
+  if (kernel.workers == 0) {
+    kernel.workers = static_cast<unsigned>(workers);
+  }
 
   FactorizeEngine engine = options.engine;
   if (engine == FactorizeEngine::kAuto) {
@@ -518,19 +523,15 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   const char* engine_name = "serial";
 
   if (engine == FactorizeEngine::kParallel) {
-    // Designated initialization on purpose: naming every member skips
-    // ParallelFactorOptions' kernel_config_from_env() default, so the
-    // facade stays insulated from the environment (options flow only
-    // through SolverOptions / solver_options_from_env). The planned
-    // traversal is the serial witness: plan() guaranteed its peak fits the
-    // budget, so the non-greedy policies are stall-free here.
+    // The planned traversal is the serial witness: plan() guaranteed its
+    // peak fits the budget, so the non-greedy policies are stall-free here.
     const ParallelFactorOptions parallel{
         .workers = workers,
         .memory_budget = plan_->budget,
         .priority = options.priority,
         .admission = options.admission,
         .serial_witness = plan_->bottom_up_order,
-        .kernel = options.kernel,
+        .kernel = kernel,
         .lease_idle_workers = options.lease_idle_workers};
     ParallelFactorResult run =
         factor_parallel(permuted, analysis_->assembly, parallel);
@@ -538,7 +539,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
       factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
       phase_ = Phase::kFactorized;
       stats_.engine = "parallel";
-      stats_.kernel = to_string(options.kernel.kind);
+      stats_.kernel = to_string(dispatched_isa());
       stats_.admission = to_string(options.admission);
       stats_.workers = workers;
       stats_.flops = run.flops;
@@ -578,14 +579,16 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     engine_name = "out-of-core";
   } else {
     MultifrontalResult run = multifrontal_cholesky(
-        permuted, analysis_->assembly, plan_->bottom_up_order, options.kernel);
+        permuted, analysis_->assembly, plan_->bottom_up_order, kernel);
     measured_peak = run.peak_live_entries;
     flops = run.flops;
+    stats_.leases_granted += run.leases_granted;
+    stats_.lease_denied += run.lease_denied;
     factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
   }
   phase_ = Phase::kFactorized;
   stats_.engine = engine_name;
-  stats_.kernel = to_string(options.kernel.kind);
+  stats_.kernel = to_string(dispatched_isa());
   stats_.admission.clear();  // serial runs have no admission decisions
   stats_.workers = 1;
   stats_.flops = flops;

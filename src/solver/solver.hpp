@@ -135,8 +135,8 @@ struct FactorizeOptions {
   /// Worker threads of the parallel engine; 0 defers to
   /// default_thread_count() (which honors TREEMEM_THREADS).
   int workers = 0;
-  /// Dense front kernel (the block_size default is the measured-fastest
-  /// 16; see dense/front_kernel.hpp for the bench data).
+  /// Dense front kernel tuning (dense/front_kernel.hpp). A kernel width
+  /// of 0 follows `workers`.
   KernelConfig kernel;
   /// Ready-task priority of the parallel engine's scheduler.
   ParallelPriority priority = ParallelPriority::kCriticalPath;
@@ -188,7 +188,6 @@ class SolverStallError : public Error {
 ///   TREEMEM_WORKERS   = <positive thread count>   (tree-level workers)
 ///   TREEMEM_ADMISSION = greedy | lookahead | reservation
 ///                       (applied to plan *and* factorize admission)
-///   TREEMEM_KERNEL    = scalar|blocked|parallel[:<block size>]
 /// (TREEMEM_THREADS keeps steering intra-front workers and the
 /// workers == 0 default — now resolved exactly once, when the process-wide
 /// WorkerPool is constructed; TREEMEM_AFFINITY=1 pins pool workers to
@@ -221,7 +220,7 @@ struct SolverStats {
 
   // factorize (latest run; factorizations counts since analyze)
   std::string engine;                ///< "serial" | "parallel" | "out-of-core"
-  std::string kernel;                ///< dense kernel name
+  std::string kernel;                ///< dense ISA path: avx512|avx2|portable
   std::string admission;             ///< admission policy of parallel runs
   int workers = 0;
   long long flops = 0;
@@ -236,12 +235,11 @@ struct SolverStats {
   double parallel_speedup = 0.0;
   /// True when a stalled parallel schedule fell back to the serial engine.
   bool stall_fallback = false;
-  /// Parallel runs with the parallel-tiled kernel: trailing-update panels
-  /// that cleared the volume gate and leased pool workers / found none
-  /// idle and ran inline. Makes the volume gate's cost observable — a
-  /// high denial rate means the tree level never leaves workers idle and
-  /// intra-front parallelism is not paying. Cumulative since analyze(),
-  /// like factorizations.
+  /// Trailing-update panels that cleared the kernel's volume gate and
+  /// leased pool workers / found none idle and ran inline. Makes the
+  /// volume gate's cost observable — a high denial rate means the tree
+  /// level never leaves workers idle and intra-front parallelism is not
+  /// paying. Cumulative since analyze(), like factorizations.
   long long leases_granted = 0;
   long long lease_denied = 0;
 

@@ -1,23 +1,14 @@
 #include "support/parallel_for.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <limits>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 #include "parallel/worker_pool.hpp"
 #include "support/env.hpp"
 
 namespace treemem {
-
-namespace {
-
-std::atomic<long long> forkjoin_births{0};
-
-}  // namespace
 
 unsigned default_thread_count() {
   // Strict parse through support/env.hpp: a malformed TREEMEM_THREADS
@@ -70,72 +61,6 @@ void parallel_for(std::size_t count,
   // width w needs w-1 helpers. An empty lease — nobody idle — degrades to
   // the inline loop inside run(), same contract.
   WorkerPool::instance().try_lease(width - 1).run(count, body);
-}
-
-void forkjoin_parallel_for(std::size_t count,
-                           const std::function<void(std::size_t)>& body,
-                           unsigned num_threads) {
-  if (count == 0) {
-    return;
-  }
-  if (num_threads > count) {
-    num_threads = static_cast<unsigned>(count);
-  }
-  if (num_threads <= 1) {
-    std::exception_ptr inline_error;
-    for (std::size_t i = 0; i < count; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        if (!inline_error) {
-          inline_error = std::current_exception();
-        }
-      }
-    }
-    if (inline_error) {
-      std::rethrow_exception(inline_error);
-    }
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&]() {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) {
-        return;
-      }
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) {
-    threads.emplace_back(worker);
-  }
-  forkjoin_births.fetch_add(static_cast<long long>(num_threads),
-                            std::memory_order_relaxed);
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
-}
-
-long long forkjoin_threads_spawned() {
-  return forkjoin_births.load(std::memory_order_relaxed);
 }
 
 }  // namespace treemem

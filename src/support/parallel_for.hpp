@@ -10,13 +10,8 @@
 // inline on the calling thread, same contract — parallel_for never blocks
 // waiting for capacity.
 //
-// Migration note: before the pool, every call re-read TREEMEM_THREADS and
-// hardware_concurrency() and spawned fresh std::threads (a fork/join per
-// call). The environment is now resolved exactly once, when the pool is
-// constructed, and the steady state performs zero thread births. The old
-// fork/join loop survives only as forkjoin_parallel_for — the measured
-// baseline for the fork-overhead microbench — and must not be used on any
-// hot path.
+// The environment is resolved exactly once, when the pool is constructed,
+// and the steady state performs zero thread births.
 //
 // Determinism: the body must write its results into per-index slots
 // (e.g. results[i]); each index executes exactly once but in no particular
@@ -46,22 +41,5 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& bod
 /// silently changing the thread count mid-experiment. The process-wide
 /// WorkerPool is sized by this value exactly once, at first use.
 unsigned default_thread_count();
-
-/// The pre-pool implementation: spawns min(num_threads, count) fresh
-/// std::threads per call and joins them (the calling thread does not
-/// participate). Same index/exception contract as parallel_for. Kept ONLY
-/// as the comparison baseline for the fork-overhead microbench and the
-/// front_kernels leased-vs-fork/join column — production code leases from
-/// the pool instead. num_threads must be explicit here (no env default):
-/// the legacy path takes no configuration shortcuts.
-void forkjoin_parallel_for(std::size_t count,
-                           const std::function<void(std::size_t)>& body,
-                           unsigned num_threads);
-
-/// Cumulative std::thread constructions performed by forkjoin_parallel_for
-/// (process-wide, monotone). The microbench reports this against the
-/// pool's threads_spawned to show the ~100× birth reduction; production
-/// paths keep it frozen.
-long long forkjoin_threads_spawned();
 
 }  // namespace treemem

@@ -282,8 +282,9 @@ TEST(Metrics, SolverPoolExportsExactMetricSet) {
   options.workers = 2;
   options.factor_cache_entries = 2;
   // Keep the job off the process WorkerPool: its lazily-registered
-  // exporter would otherwise blur the before/after diff below.
-  options.solver.factorize.kernel.kind = KernelKind::kScalar;
+  // exporter would otherwise blur the before/after diff below. A width-1
+  // dense kernel never leases, so it never touches that pool.
+  options.solver.factorize.kernel.workers = 1;
   SolverPool pool(options);
 
   SolveRequest request;

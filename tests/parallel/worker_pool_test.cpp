@@ -22,7 +22,11 @@
 //     fully usable afterwards;
 //   * tearing down a pool with a lease outstanding is a clean
 //     treemem::Error from shutdown(), and release() then makes shutdown
-//     succeed.
+//     succeed;
+//   * quiescence: a lease's run() may return a moment before its helpers
+//     re-park, and wait_idle() is the wait that closes that gap — every
+//     idle_workers() assertion after parallel work goes through it, with
+//     no sleeps and no spinning.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,6 +41,7 @@
 #include "sparse/generators.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
+#include "test_util.hpp"
 #include "tree/generators.hpp"
 
 namespace treemem {
@@ -133,6 +138,7 @@ TEST(WorkerPool, ConcurrentLeaseReturnRacesAreClean) {
     EXPECT_EQ(hits[t].load(), static_cast<long long>(kRounds) * kIndices);
   }
   EXPECT_EQ(pool.stats().threads_spawned, 8);
+  pool.wait_idle();
   EXPECT_EQ(pool.idle_workers(), 8u);
 }
 
@@ -156,6 +162,7 @@ TEST(WorkerPool, NestedLeaseFromInsideAnExecutorTask) {
   EXPECT_TRUE(run.feasible);
   EXPECT_EQ(tile_hits.load(), static_cast<long long>(p) * 16);
   EXPECT_EQ(pool.stats().threads_spawned, 4);
+  pool.wait_idle();
   EXPECT_EQ(pool.idle_workers(), 4u);
 }
 
@@ -179,6 +186,7 @@ TEST(WorkerPool, ExceptionInLeasedTileFailsOnlyThatLoop) {
   std::atomic<int> ok{0};
   pool.try_lease(3).run(32, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 32);
+  pool.wait_idle();
   EXPECT_EQ(pool.idle_workers(), 4u);
 }
 
@@ -197,13 +205,32 @@ TEST(WorkerPool, DispatchRunsJobOnceAndSelfReturns) {
   std::atomic<int> runs{0};
   const unsigned claimed = pool.try_dispatch(2, [&] { runs.fetch_add(1); });
   EXPECT_EQ(claimed, 2u);
-  // Dispatched workers self-return; the destructor's drain would also
-  // cover this, but pin it explicitly.
-  while (pool.idle_workers() != 2u) {
-    std::this_thread::yield();
-  }
+  // Dispatched workers self-return; wait_idle is the explicit wait.
+  pool.wait_idle();
+  EXPECT_EQ(pool.idle_workers(), 2u);
   EXPECT_EQ(runs.load(), 2);
   EXPECT_EQ(pool.stats().workers_dispatched, 2);
+}
+
+TEST(WorkerPool, WaitIdleReturnsOnceEveryHelperParked) {
+  // run() returns when its indices are done; the helpers park a moment
+  // later. After wait_idle() the whole crew is back, every round.
+  WorkerPool pool(4);
+  std::atomic<int> hits{0};
+  for (int round = 0; round < 200; ++round) {
+    pool.try_lease(3).run(8, [&](std::size_t) { hits.fetch_add(1); });
+    pool.wait_idle();
+    ASSERT_EQ(pool.idle_workers(), 4u) << "round " << round;
+  }
+  EXPECT_EQ(hits.load(), 200 * 8);
+  // A reserved worker is not waited for: wait_idle returns, shutdown
+  // still refuses.
+  WorkerLease lease = pool.try_lease(1);
+  pool.wait_idle();
+  EXPECT_EQ(pool.idle_workers(), 3u);
+  EXPECT_THROW(pool.shutdown(), Error);
+  lease.release();
+  EXPECT_NO_THROW(pool.shutdown());
 }
 
 // ---------------------------------------------------------------------------
@@ -228,23 +255,20 @@ TEST_P(LeasePolicySweep, FactorsBitIdenticalToSerialAcrossWorkerCounts) {
     ParallelFactorOptions options;
     options.workers = workers;
     options.lease_idle_workers = lease_idle;
-    // The parallel-tiled kernel with the gate forced open, leasing from a
-    // private pool: every panel of every front exercises the leased path.
-    options.kernel.kind = KernelKind::kParallelTiled;
+    // The kernel with the lease gate forced open, leasing from a private
+    // pool: every panel of every front exercises the leased path.
     options.kernel.block_size = 4;
     options.kernel.min_parallel_volume = 0;
     options.kernel.pool = &pool;
     const ParallelFactorResult run =
         factor_parallel(inst.matrix, inst.assembly, options);
     ASSERT_TRUE(run.feasible);
-    ASSERT_EQ(run.factor.values.size(), serial.factor.values.size());
-    for (std::size_t i = 0; i < serial.factor.values.size(); ++i) {
-      ASSERT_EQ(run.factor.values[i], serial.factor.values[i])
-          << "factor drift at offset " << i << " with workers=" << workers
-          << " lease_idle_workers=" << lease_idle;
-    }
+    ASSERT_TRUE(testing::bits_equal(run.factor.values,
+                                    serial.factor.values))
+        << "workers=" << workers << " lease_idle_workers=" << lease_idle;
   }
   // Everything returned: the pool drained back to fully idle.
+  pool.wait_idle();
   EXPECT_EQ(pool.idle_workers(), 4u);
   EXPECT_EQ(pool.stats().threads_spawned, 4);
 }

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ios>
+#include <vector>
+
 #include "support/prng.hpp"
 #include "tree/generators.hpp"
 #include "tree/tree.hpp"
@@ -77,6 +82,27 @@ inline std::vector<Tree> small_tree_corpus(int count, NodeId max_size,
                            size));
   }
   return corpus;
+}
+
+/// Bit-for-bit equality of two value arrays. operator== on doubles calls
+/// -0.0 and +0.0 equal, so a kernel that applied a skipped zero-multiplier
+/// update (which can flip the sign of a zero) would pass it; this does
+/// not. Use as EXPECT_TRUE(bits_equal(actual, expected)).
+inline ::testing::AssertionResult bits_equal(const std::vector<double>& a,
+                                             const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes differ: " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return ::testing::AssertionFailure()
+             << "first difference at offset " << i << ": " << std::hexfloat
+             << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace treemem::testing
