@@ -8,7 +8,8 @@ Two classes of metric, two rules:
     single-worker cache churn counters, warm-restart miss counts, the
     worker-pool microbench counters, the root-front lease-attempt count):
     stall counts must not exceed the baseline — a single new stall under
-    the lookahead or reservation policy is a hard failure; simulated
+    the lookahead policy is a hard failure — and no policy's simulated
+    peak may exceed the instance's budget; simulated
     speedups are simulator time, reproducible bit for bit, and get a 2%
     tolerance only to absorb future benign tie-break changes; the churn
     scenario's hit/miss/eviction counters come from a seeded trace on one
@@ -88,6 +89,10 @@ def main():
             if base_metrics is None:
                 print("note: %s/%s not in baseline, skipping" % (name, policy))
                 continue
+            if metrics["peak"] > instance["budget"]:
+                fail(failures, "%s under %s: simulated peak %d above the "
+                     "budget %d" % (name, policy, metrics["peak"],
+                                    instance["budget"]))
             if metrics["stalls"] > base_metrics["stalls"]:
                 fail(failures, "%s under %s: %d stalls (baseline %d)"
                      % (name, policy, metrics["stalls"],
@@ -105,7 +110,7 @@ def main():
 
     totals = report.get("totals", {})
     base_totals = baseline.get("totals", {})
-    for key in ("lookahead_stalls", "reservation_stalls"):
+    for key in ("greedy_stalls", "lookahead_stalls"):
         if totals.get(key, 0) > base_totals.get(key, 0):
             fail(failures, "totals.%s = %d (baseline %d)"
                  % (key, totals.get(key, 0), base_totals.get(key, 0)))
@@ -255,12 +260,12 @@ def main():
     if failures:
         sys.exit(1)
     print("bench regression check clean: %d instances, "
-          "lookahead/reservation stalls %d/%d, cached/cold %.2f "
+          "greedy/lookahead stalls %d/%d, cached/cold %.2f "
           "(baseline %.2f), warm misses %s, repeat-values ratio %.2f, "
           "pool births %s, root-front grants %s/%s, dense %s x%.2f, "
           "tracing overhead %.3fx (%s events)"
-          % (len(seen), totals.get("lookahead_stalls", 0),
-             totals.get("reservation_stalls", 0), ratio, base_ratio,
+          % (len(seen), totals.get("greedy_stalls", 0),
+             totals.get("lookahead_stalls", 0), ratio, base_ratio,
              warm.get("warm_misses"), repeat_ratio,
              pool.get("threads_spawned"), root.get("leases_granted"),
              root.get("lease_attempts"), dense.get("isa"),

@@ -10,8 +10,8 @@
 // seconds, speedup over the serial engine, the engine's *measured* peak
 // live entries and the *modeled* Eq. 1 peak from SolverStats — the same
 // quantity in the same units, machine vs. model. Stalled capped runs are
-// reported as such (the greedy scheduler's memory deadlock, surfaced by
-// allow_serial_fallback = false, not an error).
+// reported as such (the greedy scheduler's memory deadlock, read from
+// SolverStats::stall_fallback — the facade finished the run serially).
 //
 // Exactness is enforced on every feasible run: the factor must reproduce
 // the serial engine's bit for bit. Intra-front workers follow
@@ -140,11 +140,10 @@ int run(const std::string& trace_path) {
              CsvWriter::cell(run.flops)});
       };
 
-      // A parallel factorization through the facade; a greedy stall is
-      // surfaced as an infeasible sample (typed SolverStallError — not
-      // smoothed over by the serial fallback). A feasible run must
-      // reproduce the serial factor bit for bit: a fast wrong kernel must
-      // crash the bench, not chart a win.
+      // A parallel factorization through the facade; a greedy stall (the
+      // facade fell back to the serial engine) is charted as an infeasible
+      // sample. Every run must reproduce the serial factor bit for bit: a
+      // fast wrong kernel must crash the bench, not chart a win.
       const auto parallel_run = [&](int workers,
                                     AdmissionPolicy admission =
                                         AdmissionPolicy::kGreedy) {
@@ -152,18 +151,16 @@ int run(const std::string& trace_path) {
         run_options.engine = FactorizeEngine::kParallel;
         run_options.workers = workers;
         run_options.admission = admission;
-        run_options.allow_serial_fallback = false;
-        RunSample sample;
-        try {
-          solver.factorize(values, run_options);
-        } catch (const SolverStallError&) {
-          return sample;
-        }
+        solver.factorize(values, run_options);
         const std::vector<double>& factor = solver.factor().values;
         TM_CHECK(factor.size() == serial_factor.size() &&
                      std::memcmp(factor.data(), serial_factor.data(),
                                  factor.size() * sizeof(double)) == 0,
                  "parallel factor diverged from serial on " << name);
+        RunSample sample;
+        if (solver.stats().stall_fallback) {
+          return sample;
+        }
         sample.feasible = true;
         sample.seconds = solver.stats().factorize_seconds;
         sample.measured_peak = solver.stats().measured_peak_entries;
@@ -180,13 +177,12 @@ int run(const std::string& trace_path) {
           Weight budget;
         };
         // Capped points (w = 4 only) run once per admission policy: the
-        // greedy column charts the stall, the lookahead/reservation
-        // columns chart the stall-free throughput under the same budget.
+        // greedy column charts the stall, the lookahead column charts the
+        // stall-free throughput under the same budget.
         const Mode modes[] = {
             {"free", AdmissionPolicy::kGreedy, kInfiniteWeight},
             {"capped", AdmissionPolicy::kGreedy, cap},
-            {"capped", AdmissionPolicy::kLookahead, cap},
-            {"capped", AdmissionPolicy::kReservation, cap}};
+            {"capped", AdmissionPolicy::kLookahead, cap}};
         for (const Mode& mode : modes) {
           if (mode.budget != kInfiniteWeight && workers != 4) {
             continue;  // one capped point per policy tells the story
@@ -198,7 +194,6 @@ int run(const std::string& trace_path) {
             // logic); the parallel engine only consumes the budget.
             plan.policy = TraversalPolicy::kAuto;
             plan.memory_budget = mode.budget;
-            plan.admission = mode.admission;
           }
           solver.plan(plan);
           const RunSample run = parallel_run(workers, mode.admission);
@@ -210,8 +205,7 @@ int run(const std::string& trace_path) {
           if (mode.budget == kInfiniteWeight) {
             best_speedup = std::max(best_speedup, speedup);
           }
-          if (mode.budget != kInfiniteWeight &&
-              mode.admission != AdmissionPolicy::kReservation) {
+          if (mode.budget != kInfiniteWeight) {
             std::string& cell = mode.admission == AdmissionPolicy::kLookahead
                                     ? capped_lookahead_cell
                                     : capped_greedy_cell;
@@ -260,10 +254,10 @@ int run(const std::string& trace_path) {
                "count, while the engine's measured live\nentries stay within "
                "the Eq. 1 model reported by SolverStats. Re-planning\nwith "
                "the budget capped at 1.5x the w=1 peak throttles or stalls the "
-               "greedy\nschedule, while the lookahead and reservation "
-               "admission policies factor the\nsame instances stall-free "
-               "under the same budget: the memory/parallelism\ntension the "
-               "paper's conclusion anticipates, on real numeric payloads.\n";
+               "greedy\nschedule, while the lookahead admission policy "
+               "factors the same instances\nstall-free under the same "
+               "budget: the memory/parallelism tension the\npaper's "
+               "conclusion anticipates, on real numeric payloads.\n";
   std::cout << "raw data: " << csv.path() << "\n";
   return 0;
 }

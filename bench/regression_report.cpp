@@ -6,8 +6,8 @@
 //   * per-instance stall counts per admission policy on the 10-instance
 //     numeric corpus at the ROADMAP budget (1.5x the serial MinMem
 //     optimum, floored at max MemReq), swept over w in {2, 4, 8} — the
-//     greedy baseline stalls on the dense families, lookahead and
-//     reservation must stay at zero;
+//     greedy baseline stalls on the dense families, lookahead must stay
+//     at zero;
 //   * w = 4 simulated speedups per policy, plus the uncapped reference —
 //     deterministic (simulator time), so the checker holds them to a
 //     tight tolerance;
@@ -141,8 +141,7 @@ int run() {
   // Scale pinned: this report must mean the same thing on every machine.
   const auto instances = build_numeric_instances(CorpusOptions{}, 5);
   constexpr AdmissionPolicy kPolicies[] = {AdmissionPolicy::kGreedy,
-                                           AdmissionPolicy::kLookahead,
-                                           AdmissionPolicy::kReservation};
+                                           AdmissionPolicy::kLookahead};
   constexpr int kStallWorkers[] = {2, 4, 8};
 
   std::ostringstream json;
@@ -152,7 +151,7 @@ int run() {
   json << "  \"speedup_workers\": 4,\n";
   json << "  \"instances\": [\n";
 
-  int total_stalls[3] = {0, 0, 0};
+  int total_stalls[2] = {0, 0};
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const NumericInstance& instance = instances[i];
     const Tree& tree = instance.assembly.tree;
@@ -170,7 +169,7 @@ int run() {
     json << "      \"free_speedup\": " << num(free_run.speedup) << ",\n";
     json << "      \"free_peak\": " << free_run.peak_memory << ",\n";
     json << "      \"policies\": {\n";
-    for (int p = 0; p < 3; ++p) {
+    for (int p = 0; p < 2; ++p) {
       const AdmissionPolicy policy = kPolicies[p];
       int stalls = 0;
       for (const int workers : kStallWorkers) {
@@ -192,7 +191,7 @@ int run() {
            << stalls << ", \"speedup\": "
            << num(run.feasible ? run.speedup : 0.0) << ", \"peak\": "
            << run.peak_memory << "}";
-      json << (p + 1 < 3 ? ",\n" : "\n");
+      json << (p + 1 < 2 ? ",\n" : "\n");
       std::cout << instance.name << " " << to_string(policy) << ": stalls="
                 << stalls << " w4_speedup="
                 << num(run.feasible ? run.speedup : 0.0) << "\n";
@@ -202,8 +201,7 @@ int run() {
   }
   json << "  ],\n";
   json << "  \"totals\": {\"greedy_stalls\": " << total_stalls[0]
-       << ", \"lookahead_stalls\": " << total_stalls[1]
-       << ", \"reservation_stalls\": " << total_stalls[2] << "},\n";
+       << ", \"lookahead_stalls\": " << total_stalls[1] << "},\n";
 
   // Service throughput: small fixed trace (independent of TREEMEM_SCALE).
   TrafficOptions traffic;
@@ -476,8 +474,8 @@ int run() {
   out << json.str();
   out.close();
   std::cout << "\ntotals: greedy=" << total_stalls[0] << " lookahead="
-            << total_stalls[1] << " reservation=" << total_stalls[2]
-            << " stalls; cached/cold=" << num(ratio) << "\n";
+            << total_stalls[1] << " stalls; cached/cold=" << num(ratio)
+            << "\n";
   std::cout << "report: " << path << "\n";
   return 0;
 }

@@ -11,7 +11,6 @@
 //   treemem_cli solve <matrix.mtx> [--order mindeg|nd|rcm|natural]
 //                     [--relax R] [--memory M]
 //                     [--traversal auto|postorder|liu|minmem]
-//                     [--admission greedy|lookahead|reservation]
 //                     [--workers W] [--rhs K] [--seed S] [--synthetic]
 //                     [--csv stats.csv] [--trace out.json]
 //       The full pipeline: analyze -> plan -> factorize -> solve with K
@@ -26,7 +25,7 @@
 //
 //   treemem_cli serve <trace.txt> [solve flags] [--pool-workers W]
 //                     [--repeat R] [--cache-entries N] [--cache-bytes B]
-//                     [--factor-cache N] [--state-dir DIR] [--promote-lone]
+//                     [--factor-cache N] [--state-dir DIR]
 //                     [--csv stats.csv] [--trace out.json]
 //                     [--metrics-out FILE]
 //       Solver-as-a-service replay: each trace line is
@@ -39,8 +38,7 @@
 //       percentiles. --cache-entries/--cache-bytes cap the symbolic cache
 //       (LRU eviction; 0 = unbounded), --factor-cache N keeps up to N
 //       numeric factors resident so repeated (pattern, values) requests
-//       skip factorize, --promote-lone lets a lone job borrow the idle
-//       pool workers for parallel factorization, and --state-dir DIR
+//       skip factorize, and --state-dir DIR
 //       persists the symbolic cache across runs: state is loaded before
 //       the replay (a warm restart — 0 symbolic misses on a repeated
 //       trace) and saved after. --metrics-out FILE writes the service's
@@ -85,14 +83,13 @@ int usage() {
       << "  treemem_cli solve <matrix.mtx> [--order mindeg|nd|rcm|natural]"
          " [--relax R] [--memory M]\n"
       << "                    [--traversal auto|postorder|liu|minmem]"
-         " [--admission greedy|lookahead|reservation] [--workers W]\n"
-      << "                    [--rhs K] [--seed S] [--synthetic]"
+         " [--workers W] [--rhs K]\n"
+      << "                    [--seed S] [--synthetic]"
          " [--csv stats.csv] [--trace out.json]\n"
       << "  treemem_cli serve <trace.txt> [solve flags] [--pool-workers W]"
          " [--repeat R]\n"
       << "                    [--cache-entries N] [--cache-bytes B]"
-         " [--factor-cache N] [--state-dir DIR] [--promote-lone]"
-         " [--csv stats.csv]\n"
+         " [--factor-cache N] [--state-dir DIR] [--csv stats.csv]\n"
       << "                    [--trace out.json] [--metrics-out FILE]\n"
       << "      trace line: <matrix.mtx> <value-seed> <num-rhs>"
          " (seed 0 = the file's own values)\n"
@@ -153,7 +150,6 @@ struct CliOptions {
   Index relax = 4;
   std::optional<Weight> memory;
   std::string traversal_name = "auto";
-  std::string admission_name = "greedy";
   int workers = 0;
   int rhs = 1;
   std::uint64_t seed = 2011;
@@ -163,7 +159,6 @@ struct CliOptions {
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
   std::size_t factor_cache = 0;
-  bool promote_lone = false;
   std::string state_dir;
   std::string csv_path;
   std::string trace_path;    ///< Chrome trace JSON out (empty = env/off)
@@ -186,13 +181,6 @@ std::optional<TraversalPolicy> traversal_of(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<AdmissionPolicy> admission_of(const std::string& name) {
-  if (name == "greedy") return AdmissionPolicy::kGreedy;
-  if (name == "lookahead") return AdmissionPolicy::kLookahead;
-  if (name == "reservation") return AdmissionPolicy::kReservation;
-  return std::nullopt;
-}
-
 std::string seconds(double s) {
   std::ostringstream oss;
   oss << std::fixed << std::setprecision(4) << s;
@@ -202,20 +190,17 @@ std::string seconds(double s) {
 std::optional<SolverOptions> solver_options_of(const CliOptions& cli) {
   const auto ordering = ordering_of(cli.order_name);
   const auto traversal = traversal_of(cli.traversal_name);
-  const auto admission = admission_of(cli.admission_name);
-  if (!ordering || !traversal || !admission) {
+  if (!ordering || !traversal) {
     return std::nullopt;
   }
   SolverOptions options;
   options.analyze.ordering = *ordering;
   options.analyze.relax = cli.relax;
   options.plan.policy = *traversal;
-  options.plan.admission = *admission;
   if (cli.memory) {
     options.plan.memory_budget = *cli.memory;
   }
   options.factorize.workers = cli.workers;
-  options.factorize.admission = *admission;
   return options;
 }
 
@@ -407,7 +392,6 @@ int run_serve(const std::string& trace_path, const CliOptions& cli) {
   pool_options.cache_entries = cli.cache_entries;
   pool_options.cache_bytes = cli.cache_bytes;
   pool_options.factor_cache_entries = cli.factor_cache;
-  pool_options.promote_lone_jobs = cli.promote_lone;
   SolverPool pool(pool_options);
 
   // Warm restart: seed the symbolic cache from a previous run's state
@@ -596,8 +580,6 @@ int main(int argc, char** argv) {
             parse_int_strict(argv[++i], 1, kInfiniteWeight, "--memory"));
       } else if (std::strcmp(argv[i], "--traversal") == 0 && i + 1 < argc) {
         cli.traversal_name = argv[++i];
-      } else if (std::strcmp(argv[i], "--admission") == 0 && i + 1 < argc) {
-        cli.admission_name = argv[++i];
       } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
         cli.workers = static_cast<int>(
             parse_int_strict(argv[++i], 0, 1024, "--workers"));
@@ -626,8 +608,6 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--factor-cache") == 0 && i + 1 < argc) {
         cli.factor_cache = static_cast<std::size_t>(
             parse_int_strict(argv[++i], 0, 1 << 30, "--factor-cache"));
-      } else if (std::strcmp(argv[i], "--promote-lone") == 0) {
-        cli.promote_lone = true;
       } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
         cli.state_dir = argv[++i];
       } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {

@@ -38,22 +38,21 @@ struct ParallelFactorOptions {
   Weight memory_budget = kInfiniteWeight;
   ParallelPriority priority = ParallelPriority::kCriticalPath;
   /// How fronts are admitted against the budget. The greedy default can
-  /// deadlock under a tight budget; lookahead and reservation consult
-  /// `serial_witness` and never stall when the budget covers its serial
-  /// peak. The factor stays bit-identical across policies (schedule-exact
-  /// numerics — policies only reorder the schedule).
+  /// deadlock under a tight budget; lookahead consults `serial_witness`
+  /// and never stalls when the budget covers its serial peak. The factor
+  /// stays bit-identical across policies (schedule-exact numerics —
+  /// policies only reorder the schedule).
   AdmissionPolicy admission = AdmissionPolicy::kGreedy;
   /// Optional bottom-up witness traversal of the assembly tree for the
-  /// non-greedy policies; empty = the MinMem optimum.
+  /// lookahead policy; empty = the MinMem optimum.
   Traversal serial_witness = {};
   /// Dense front kernel tuning (dense/front_kernel.hpp).
   KernelConfig kernel;
   /// Elastic crewing (ExecutorOptions::lease_idle_workers): tree-level
   /// workers with no ready front return to the persistent pool mid-run,
-  /// where a large front's trailing-update lease can absorb them — the
-  /// root-front case lone-job promotion (PR 8) could only approximate
-  /// from outside the run. Off = the pre-pool behavior (the full crew is
-  /// held for the whole run), kept for the scaling sweep's comparison.
+  /// where a large front's trailing-update lease can absorb them. Off =
+  /// the pre-pool behavior (the full crew is held for the whole run),
+  /// kept for the scaling sweep's comparison.
   /// The factor is bit-identical either way (schedule-exact numerics).
   bool lease_idle_workers = true;
 };

@@ -1,7 +1,6 @@
 #include "solver/solver.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "core/liu.hpp"
@@ -11,7 +10,6 @@
 #include "multifrontal/numeric_parallel.hpp"
 #include "multifrontal/out_of_core.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel_sim.hpp"
 #include "order/ordering.hpp"
 #include "support/env.hpp"
 #include "support/parallel_for.hpp"
@@ -76,12 +74,6 @@ SolverOptions solver_options_from_env(SolverOptions base) {
   }
   if (const auto workers = env_int("TREEMEM_WORKERS", 1, 1024)) {
     base.factorize.workers = static_cast<int>(*workers);
-  }
-  if (const auto admission = admission_policy_from_env()) {
-    // One knob steers both consumers: the plan-phase co-search simulates
-    // under the same policy the factorize-phase executor will run.
-    base.plan.admission = *admission;
-    base.factorize.admission = *admission;
   }
   return base;
 }
@@ -284,62 +276,6 @@ Solver& Solver::plan(const PlanOptions& options) {
                                 std::move(out_tree_order));
   }
 
-  // Traversal × schedule co-search (in-core plans under a finite budget):
-  // rank every budget-feasible candidate traversal by the *parallel* peak
-  // it produces as the serial witness of a simulated
-  // co_search_workers-worker schedule under the chosen admission policy,
-  // and adopt the winner. The serial decision above remains the fallback
-  // when no candidate yields a feasible parallel schedule (e.g. greedy
-  // admission deadlocks on all of them).
-  Weight parallel_peak = 0;
-  if (options.co_search_workers > 0 && !out_of_core &&
-      budget < kInfiniteWeight) {
-    struct Candidate {
-      const char* name;
-      const Traversal* order;  // out-tree direction
-      Weight serial_peak;
-    };
-    const TraversalResult& liu = cached_liu();
-    const Candidate candidates[] = {
-        {"postorder", &postorder.order, postorder.peak},
-        {"liu", &liu.order, liu.peak},
-        {"minmem", &optimal.order, optimal.peak},
-    };
-    const Candidate* winner = nullptr;
-    ParallelScheduleResult winner_run;
-    for (const Candidate& candidate : candidates) {
-      if (candidate.serial_peak > budget) {
-        continue;  // cannot serve as a witness: its own serial run misses
-      }
-      ParallelOptions sim;
-      sim.workers = options.co_search_workers;
-      sim.memory_budget = budget;
-      sim.admission = options.admission;
-      sim.serial_witness = reverse_traversal(*candidate.order);
-      const ParallelScheduleResult run =
-          simulate_parallel_traversal(tree, sim);
-      if (!run.feasible) {
-        continue;
-      }
-      const bool better =
-          winner == nullptr || run.peak_memory < winner_run.peak_memory ||
-          (run.peak_memory == winner_run.peak_memory &&
-           run.makespan < winner_run.makespan);
-      if (better) {
-        winner = &candidate;
-        winner_run = run;
-      }
-    }
-    if (winner != nullptr) {
-      out_tree_order = *winner->order;
-      in_core_peak = winner->serial_peak;
-      parallel_peak = winner_run.peak_memory;
-      strategy = std::string(winner->name) + "/in-core+cosearch(w" +
-                 std::to_string(options.co_search_workers) + "," +
-                 to_string(options.admission) + ")";
-    }
-  }
-
   if (out_of_core) {
     TM_CHECK(options.allow_out_of_core,
              "Solver::plan: budget " << budget
@@ -380,7 +316,6 @@ Solver& Solver::plan(const PlanOptions& options) {
   plan_state->in_core_optimum = optimal.peak;
   plan_state->best_postorder_peak = postorder.peak;
   plan_state->planned_io_volume = io_volume;
-  plan_state->planned_parallel_peak = parallel_peak;
   plan_state->plan_seconds = timer.elapsed_s();
 
   plan_ = std::move(plan_state);
@@ -393,7 +328,6 @@ Solver& Solver::plan(const PlanOptions& options) {
   stats_.in_core_optimum = plan_->in_core_optimum;
   stats_.best_postorder_peak = plan_->best_postorder_peak;
   stats_.planned_io_volume = plan_->planned_io_volume;
-  stats_.planned_parallel_peak = plan_->planned_parallel_peak;
   stats_.plan_seconds = plan_->plan_seconds;
   return *this;
 }
@@ -441,7 +375,6 @@ Solver& Solver::adopt(SolverSymbolic symbolic) {
   stats_.in_core_optimum = plan_->in_core_optimum;
   stats_.best_postorder_peak = plan_->best_postorder_peak;
   stats_.planned_io_volume = plan_->planned_io_volume;
-  stats_.planned_parallel_peak = plan_->planned_parallel_peak;
   stats_.plan_seconds = plan_->plan_seconds;
   return *this;
 }
@@ -508,8 +441,13 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
 
   FactorizeEngine engine = options.engine;
   if (engine == FactorizeEngine::kAuto) {
-    engine = (!plan_->out_of_core && workers > 1) ? FactorizeEngine::kParallel
-                                                  : FactorizeEngine::kSerial;
+    // Zero slack (budget == planned peak) leaves no room for any schedule
+    // but the planned one: run it serially instead of a parallel attempt
+    // that would stall and fall back anyway.
+    const bool slack = plan_->budget > plan_->planned_peak_entries;
+    engine = (!plan_->out_of_core && slack && workers > 1)
+                 ? FactorizeEngine::kParallel
+                 : FactorizeEngine::kSerial;
   }
   TM_CHECK(engine == FactorizeEngine::kSerial || !plan_->out_of_core,
            "Solver::factorize: the parallel engine cannot execute an "
@@ -524,7 +462,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
 
   if (engine == FactorizeEngine::kParallel) {
     // The planned traversal is the serial witness: plan() guaranteed its
-    // peak fits the budget, so the non-greedy policies are stall-free here.
+    // peak fits the budget, so lookahead admission is stall-free here.
     const ParallelFactorOptions parallel{
         .workers = workers,
         .memory_budget = plan_->budget,
@@ -555,14 +493,7 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     }
     // Greedy stall under a tight budget: the planned serial traversal is
     // guaranteed feasible, and the serial engine produces the identical
-    // factor bit for bit — fall back unless the caller wants to see it.
-    if (!options.allow_serial_fallback) {
-      std::ostringstream message;
-      message << "Solver::factorize: parallel schedule stalled under budget "
-              << plan_->budget << " with " << workers << " workers ("
-              << to_string(options.admission) << " admission deadlock)";
-      throw SolverStallError(message.str());
-    }
+    // factor bit for bit.
     stall_fallback = true;
   }
 

@@ -86,8 +86,12 @@ enum class TraversalPolicy {
 const char* to_string(TraversalPolicy policy);
 
 /// Numeric engine of factorize(). kAuto picks the threaded engine when the
-/// plan is in-core and more than one worker is requested, the serial
-/// engine otherwise (out-of-core plans always run serially).
+/// plan is in-core, leaves slack (budget above the planned peak; an
+/// unbudgeted plan always has slack) and more than one worker is
+/// requested, the serial engine otherwise. A zero-slack plan — MinMem at
+/// the in-core optimum, say — thus runs the planned traversal serially:
+/// the one schedule that budget is known to admit. Out-of-core plans
+/// always run serially.
 enum class FactorizeEngine {
   kAuto,
   kSerial,
@@ -115,19 +119,6 @@ struct PlanOptions {
   /// failing. Below max MemReq no schedule exists and plan() throws
   /// either way.
   bool allow_out_of_core = true;
-  /// Admission policy assumed by the traversal × schedule co-search below
-  /// (and the natural companion of FactorizeOptions::admission — the env
-  /// layer sets both from TREEMEM_ADMISSION).
-  AdmissionPolicy admission = AdmissionPolicy::kGreedy;
-  /// > 0 enables the traversal × schedule co-search: every budget-feasible
-  /// traversal candidate (postorder, Liu, MinMem — the searches plan()
-  /// already memoizes) is simulated as the serial witness of a
-  /// `co_search_workers`-worker schedule under `admission`, and the plan
-  /// adopts the traversal minimizing the simulated *parallel* peak
-  /// (tie-break: makespan, then candidate order) — the paper's MinMem
-  /// machinery steering the parallel regime rather than the serial one.
-  /// 0 (default) keeps the serial decision procedure untouched.
-  int co_search_workers = 0;
 };
 
 struct FactorizeOptions {
@@ -141,18 +132,13 @@ struct FactorizeOptions {
   /// Ready-task priority of the parallel engine's scheduler.
   ParallelPriority priority = ParallelPriority::kCriticalPath;
   /// How the parallel engine admits fronts against the plan's budget. The
-  /// planned traversal serves as the serial witness, so kLookahead and
-  /// kReservation can never stall (the plan guarantees the witness fits
-  /// the budget) and the factor stays bit-identical across policies.
+  /// planned traversal serves as the serial witness, so kLookahead can
+  /// never stall (the plan guarantees the witness fits the budget) and the
+  /// factor stays bit-identical across policies. A stalled greedy
+  /// schedule (started subtrees stranded resident files) falls back to the
+  /// serial engine along the planned traversal, which produces the
+  /// identical factor; SolverStats::stall_fallback reports it.
   AdmissionPolicy admission = AdmissionPolicy::kGreedy;
-  /// A tight budget can stall the parallel engine's greedy schedule
-  /// (started subtrees strand resident files; the non-greedy policies are
-  /// stall-free by construction). When true, such a stall falls back to
-  /// the serial engine along the planned traversal — which the plan
-  /// guarantees feasible — and produces the identical factor (bit-exact
-  /// across engines). When false, a stall throws, so benches can observe
-  /// and report it.
-  bool allow_serial_fallback = true;
   /// Elastic crewing of the parallel engine (see
   /// ParallelFactorOptions::lease_idle_workers): tree-level workers idle
   /// at the schedule frontier return to the persistent pool, where a
@@ -171,23 +157,12 @@ struct SolverOptions {
   FactorizeOptions factorize;
 };
 
-/// Thrown by factorize() when the parallel engine's greedy schedule
-/// stalls under the memory budget and allow_serial_fallback is off —
-/// typed so benches can chart the stall without string-matching the
-/// message.
-class SolverStallError : public Error {
- public:
-  using Error::Error;
-};
-
 /// `base` with every TREEMEM_* override applied, through the strict
 /// support/env.hpp parsers (malformed values throw):
 ///   TREEMEM_ORDERING  = natural | rcm | mindeg | nd
 ///   TREEMEM_TRAVERSAL = auto | postorder | liu | minmem
 ///   TREEMEM_BUDGET    = <positive entries>        (plan memory budget)
 ///   TREEMEM_WORKERS   = <positive thread count>   (tree-level workers)
-///   TREEMEM_ADMISSION = greedy | lookahead | reservation
-///                       (applied to plan *and* factorize admission)
 /// (TREEMEM_THREADS keeps steering intra-front workers and the
 /// workers == 0 default — now resolved exactly once, when the process-wide
 /// WorkerPool is constructed; TREEMEM_AFFINITY=1 pins pool workers to
@@ -213,9 +188,6 @@ struct SolverStats {
   Weight in_core_optimum = 0;        ///< MinMem optimum (workspace floor)
   Weight best_postorder_peak = 0;    ///< what a postorder-only code needs
   Weight planned_io_volume = 0;      ///< entries written out-of-core (0 in-core)
-  /// Simulated parallel peak of the co-searched schedule (0 when the
-  /// co-search was off or found no feasible schedule).
-  Weight planned_parallel_peak = 0;
   double plan_seconds = 0.0;
 
   // factorize (latest run; factorizations counts since analyze)
@@ -289,7 +261,6 @@ struct SolverPlan {
   Weight in_core_optimum = 0;
   Weight best_postorder_peak = 0;
   Weight planned_io_volume = 0;
-  Weight planned_parallel_peak = 0;
   double plan_seconds = 0.0;
 };
 

@@ -18,12 +18,13 @@ namespace treemem {
 namespace {
 
 constexpr char kMagic[8] = {'T', 'M', 'S', 'Y', 'M', 'B', '0', '1'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Binary encoding: native-endian scalars and length-prefixed arrays. The
-// reader bounds-checks every access, so a truncated file throws a clean
-// Error instead of reading garbage.
+// reader bounds-checks every access against the bytes left, so a truncated
+// file or a forged length throws a clean Error instead of reading garbage
+// or attempting a huge allocation.
 // ---------------------------------------------------------------------------
 
 class Writer {
@@ -40,6 +41,9 @@ class Writer {
   void array(const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>);
     scalar(static_cast<std::uint64_t>(values.size()));
+    if (values.empty()) {
+      return;  // data() may be null; memcpy requires non-null pointers
+    }
     const std::size_t at = buffer_.size();
     buffer_.resize(at + values.size() * sizeof(T));
     std::memcpy(buffer_.data() + at, values.data(), values.size() * sizeof(T));
@@ -75,11 +79,13 @@ class Reader {
   std::vector<T> array() {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t count = scalar<std::uint64_t>();
-    require(count * sizeof(T));
+    require(count, sizeof(T));
     std::vector<T> values(static_cast<std::size_t>(count));
-    std::memcpy(values.data(), buffer_.data() + at_,
-                values.size() * sizeof(T));
-    at_ += values.size() * sizeof(T);
+    if (count > 0) {
+      std::memcpy(values.data(), buffer_.data() + at_,
+                  values.size() * sizeof(T));
+      at_ += values.size() * sizeof(T);
+    }
     return values;
   }
 
@@ -98,11 +104,14 @@ class Reader {
   }
 
  private:
-  void require(std::uint64_t bytes) const {
-    TM_CHECK(at_ + bytes <= buffer_.size(),
-             "symbolic file " << path_ << ": truncated (need " << bytes
-                              << " bytes at offset " << at_ << ", have "
-                              << buffer_.size() - at_ << ")");
+  /// `count` items of `width` bytes fit in what is left. Divides instead
+  /// of multiplying, so a forged count cannot wrap the product.
+  void require(std::uint64_t count, std::size_t width = 1) const {
+    const std::size_t left = buffer_.size() - at_;
+    TM_CHECK(count <= left / width,
+             "symbolic file " << path_ << ": truncated (need " << count
+                              << " x " << width << " bytes at offset " << at_
+                              << ", have " << left << ")");
   }
 
   std::vector<char> buffer_;
@@ -135,9 +144,7 @@ bool same_build_options(const AnalyzeOptions& a, const AnalyzeOptions& b) {
 
 bool same_build_options(const PlanOptions& a, const PlanOptions& b) {
   return a.policy == b.policy && a.memory_budget == b.memory_budget &&
-         a.allow_out_of_core == b.allow_out_of_core &&
-         a.admission == b.admission &&
-         a.co_search_workers == b.co_search_workers;
+         a.allow_out_of_core == b.allow_out_of_core;
 }
 
 void write_symbolic_file(const SolverSymbolic& symbolic,
@@ -161,8 +168,6 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
   out.scalar(static_cast<std::uint8_t>(p.options.policy));
   out.scalar<std::int64_t>(p.options.memory_budget);
   out.scalar(static_cast<std::uint8_t>(p.options.allow_out_of_core));
-  out.scalar(static_cast<std::uint8_t>(p.options.admission));
-  out.scalar<std::int32_t>(p.options.co_search_workers);
 
   out.scalar(pattern_fingerprint(a.pattern));
 
@@ -194,7 +199,6 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
   out.scalar<std::int64_t>(p.in_core_optimum);
   out.scalar<std::int64_t>(p.best_postorder_peak);
   out.scalar<std::int64_t>(p.planned_io_volume);
-  out.scalar<std::int64_t>(p.planned_parallel_peak);
   out.scalar(p.plan_seconds);
 
   // Temp + rename: a crash mid-write never leaves a half file that a
@@ -247,9 +251,6 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
       static_cast<TraversalPolicy>(in.scalar<std::uint8_t>());
   plan->options.memory_budget = in.scalar<std::int64_t>();
   plan->options.allow_out_of_core = in.scalar<std::uint8_t>() != 0;
-  plan->options.admission =
-      static_cast<AdmissionPolicy>(in.scalar<std::uint8_t>());
-  plan->options.co_search_workers = in.scalar<std::int32_t>();
 
   const std::uint64_t stored_fingerprint = in.scalar<std::uint64_t>();
 
@@ -283,7 +284,6 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
   plan->in_core_optimum = in.scalar<std::int64_t>();
   plan->best_postorder_peak = in.scalar<std::int64_t>();
   plan->planned_io_volume = in.scalar<std::int64_t>();
-  plan->planned_parallel_peak = in.scalar<std::int64_t>();
   plan->plan_seconds = in.scalar<double>();
   in.expect_end();
 

@@ -1,9 +1,8 @@
 // The one strictly-parsed TREEMEM_* environment layer.
 //
 // Every runtime knob of the library reads its override through this file:
-// TREEMEM_THREADS (support/parallel_for.hpp), TREEMEM_ADMISSION
-// (parallel/schedule_core.hpp), the solver facade's TREEMEM_ORDERING /
-// TREEMEM_TRAVERSAL / TREEMEM_WORKERS / TREEMEM_BUDGET
+// TREEMEM_THREADS (support/parallel_for.hpp), the solver facade's
+// TREEMEM_ORDERING / TREEMEM_TRAVERSAL / TREEMEM_WORKERS / TREEMEM_BUDGET
 // (solver/solver.hpp), and the bench harness's TREEMEM_SCALE / TREEMEM_OUT
 // (bench/bench_common.hpp). Parsing is strict with *errors*: a malformed
 // value throws treemem::Error naming the variable and the offending text,

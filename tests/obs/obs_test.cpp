@@ -330,7 +330,6 @@ TEST(Metrics, SolverPoolExportsExactMetricSet) {
       "treemem_solver_measured_peak_entries counter",
       "treemem_solver_modeled_peak_entries counter",
       "treemem_solver_planned_peak_entries counter",
-      "treemem_solver_planned_parallel_peak counter",
       "treemem_solver_in_core_optimum counter",
       "treemem_solver_best_postorder_peak counter",
       "treemem_solver_planned_io_volume counter",

@@ -1,7 +1,6 @@
 // Service layer round two: LRU/size-capped eviction in SymbolicCache,
-// symbolic persistence (warm restarts), the numeric-factor cache, and
-// queue-depth-gated engine promotion in SolverPool — plus the three
-// cache-stats bugfix regressions this PR pins:
+// symbolic persistence (warm restarts) and the numeric-factor cache in
+// SolverPool — plus three cache-stats bugfix regressions:
 //
 //   * lookup() counted a retry after a FAILED build as a hit (the entry
 //     existed, so hits_ incremented and hit=true came back while the
@@ -10,20 +9,23 @@
 //   * clear() zeroed the entry count but kept hits_/misses_ cumulative,
 //     so post-clear hit rates mixed epochs — clear() now starts a fresh
 //     epoch;
-//   * aggregate_solver_stats dropped planned_peak_entries and
-//     planned_parallel_peak (pool reports showed planned peak 0 while
-//     admission charged real plans) — both now aggregate by max.
+//   * aggregate_solver_stats dropped planned_peak_entries (pool reports
+//     showed planned peak 0 while admission charged real plans) — it now
+//     aggregates by max.
 //
 // The churn suite runs under TSan in CI (this binary is in the TSan
 // target list): rotating lookups above the entry cap race against
 // clear() with no lost builds and entries <= cap at every observation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -180,17 +182,14 @@ TEST(SymbolicCacheStats, ClearResetsCountersWithEntries) {
 TEST(SolverPoolStats, AggregateCarriesPlannedPeaks) {
   SolverStats a;
   a.planned_peak_entries = 120;
-  a.planned_parallel_peak = 90;
   a.modeled_peak_entries = 100;
   SolverStats b;
   b.planned_peak_entries = 200;
-  b.planned_parallel_peak = 40;
   b.modeled_peak_entries = 80;
 
   const SolverStats total = aggregate_solver_stats({a, b});
-  // Pre-fix: both planned peaks silently aggregated to 0.
+  // Pre-fix: the planned peak silently aggregated to 0.
   EXPECT_EQ(total.planned_peak_entries, 200);
-  EXPECT_EQ(total.planned_parallel_peak, 90);
   EXPECT_EQ(total.modeled_peak_entries, 100);
 }
 
@@ -370,6 +369,71 @@ TEST_F(SymbolicStoreTest, LoadSkipsOptionMismatchesAndCorruptFiles) {
   EXPECT_TRUE(third.lookup(pattern).hit);
 }
 
+std::vector<char> read_bytes(const std::filesystem::path& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(file), {});
+}
+
+void write_bytes(const std::filesystem::path& path,
+                 const std::vector<char>& bytes) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(SymbolicStoreTest, ForgedArrayCountIsRejectedNotAllocated) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(6, 6));
+  SymbolicCache cache;
+  cache.lookup(pattern);
+  save_symbolic_state(cache, dir_.string());
+  const std::filesystem::path path =
+      dir_ / symbolic_file_name(pattern_fingerprint(pattern), 0);
+  std::vector<char> bytes = read_bytes(path);
+
+  // Locate the pattern's col_ptr count in the written layout: it follows
+  // the (rows, cols) header, and holds cols + 1.
+  const std::int32_t n = pattern.cols();
+  const std::uint64_t count = static_cast<std::uint64_t>(n) + 1;
+  char needle[16];
+  std::memcpy(needle, &n, 4);
+  std::memcpy(needle + 4, &n, 4);
+  std::memcpy(needle + 8, &count, 8);
+  const auto at = std::search(bytes.begin(), bytes.end(), needle, needle + 16);
+  ASSERT_NE(at, bytes.end());
+
+  // 2^61 elements of 8 bytes: the byte count wraps a 64-bit product.
+  const std::uint64_t forged = std::uint64_t{1} << 61;
+  std::memcpy(&*(at + 8), &forged, 8);
+  write_bytes(path, bytes);
+
+  EXPECT_THROW(read_symbolic_file(path.string()), Error);
+  SymbolicCache restarted;
+  const SymbolicStoreReport report =
+      load_symbolic_state(restarted, dir_.string());
+  EXPECT_EQ(report.saved, 0u);
+  EXPECT_EQ(report.skipped_invalid, 1u);
+}
+
+TEST_F(SymbolicStoreTest, OlderFormatVersionIsRebuiltCold) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(6, 6));
+  SymbolicCache cache;
+  cache.lookup(pattern);
+  save_symbolic_state(cache, dir_.string());
+  const std::filesystem::path path =
+      dir_ / symbolic_file_name(pattern_fingerprint(pattern), 0);
+  std::vector<char> bytes = read_bytes(path);
+  // The u32 version follows the 8-byte magic; version 1 files carried the
+  // retired co-search fields.
+  const std::uint32_t old_version = 1;
+  std::memcpy(bytes.data() + 8, &old_version, 4);
+  write_bytes(path, bytes);
+
+  SymbolicCache restarted;
+  const SymbolicStoreReport report =
+      load_symbolic_state(restarted, dir_.string());
+  EXPECT_EQ(report.skipped_invalid, 1u);
+  EXPECT_FALSE(restarted.lookup(pattern).hit);  // rebuilt cold
+}
+
 TEST_F(SymbolicStoreTest, MissingDirectoryIsAColdStart) {
   SymbolicCache cache;
   const SymbolicStoreReport report =
@@ -502,57 +566,6 @@ TEST(SolverPool, FactorCacheRespectsMemoryBudget) {
     EXPECT_EQ(future.get().solutions.size(), 1u);
   }
   EXPECT_EQ(pool.aggregated_stats().factorizations, 10);
-}
-
-// ---------------------------------------------------------------------------
-// Queue-depth-gated engine promotion
-// ---------------------------------------------------------------------------
-
-TEST(SolverPool, LoneJobPromotesToParallelEngine) {
-  const SparsePattern pattern = symmetrize(gen::grid2d(16, 16));
-  const SymmetricMatrix matrix = make_spd_matrix(pattern, 13);
-
-  SolverPoolOptions options;
-  options.workers = 4;
-  options.promote_lone_jobs = true;
-  SolverPool pool(options);
-
-  SolveRequest request;
-  request.matrix = matrix;
-  request.rhs = {seeded_rhs(pattern.cols(), 13)};
-  const SolveOutcome outcome = pool.solve(std::move(request));
-
-  // The lone job borrowed the idle workers: its factorize ran parallel.
-  bool saw_parallel = false;
-  for (const SolverStats& stats : pool.solver_stats()) {
-    if (stats.factorizations == 1) {
-      EXPECT_EQ(stats.engine, "parallel");
-      EXPECT_EQ(stats.workers, 4);
-      saw_parallel = true;
-    }
-  }
-  EXPECT_TRUE(saw_parallel);
-
-  // Promotion never changes the numbers: bit-exact vs the lone facade.
-  Solver lone;
-  lone.analyze(pattern).plan().factorize(matrix);
-  EXPECT_EQ(outcome.solutions[0], lone.solve(seeded_rhs(pattern.cols(), 13)));
-}
-
-TEST(SolverPool, PromotionStaysOffByDefault) {
-  const SparsePattern pattern = symmetrize(gen::grid2d(10, 10));
-  SolverPoolOptions options;
-  options.workers = 4;
-  SolverPool pool(options);
-  SolveRequest request;
-  request.matrix = make_spd_matrix(pattern, 1);
-  request.rhs = {seeded_rhs(pattern.cols(), 1)};
-  pool.solve(std::move(request));
-  for (const SolverStats& stats : pool.solver_stats()) {
-    if (stats.factorizations == 1) {
-      EXPECT_EQ(stats.engine, "serial");
-    }
-  }
 }
 
 }  // namespace

@@ -253,6 +253,12 @@ TEST(SolverPool, MatchesLoneSolverAndAggregatesExactly) {
   }
 
   const std::vector<SolverStats> per_solver = pool.solver_stats();
+  // Request-level parallelism is the pool's: each job factorizes serially.
+  for (const SolverStats& stats : per_solver) {
+    if (stats.factorizations > 0) {
+      EXPECT_EQ(stats.engine, "serial");
+    }
+  }
   const SolverStats aggregated = pool.aggregated_stats();
   const SolverStats expected = aggregate_solver_stats(per_solver);
   EXPECT_EQ(aggregated.rhs_solved, expected.rhs_solved);

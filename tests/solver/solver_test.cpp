@@ -17,8 +17,11 @@
 //     ordering;
 //   * out-of-core plans (budget below the in-core optimum) execute through
 //     the facade and still reproduce the in-core factor bit for bit;
+//   * kAuto's engine rule: a zero-slack plan (MinMem at the in-core
+//     optimum) runs serially at exactly its planned peak, while a budget
+//     with slack, or none, gets the parallel engine;
 //   * solver_options_from_env applies TREEMEM_ORDERING / TREEMEM_TRAVERSAL
-//     / TREEMEM_BUDGET / TREEMEM_WORKERS / TREEMEM_ADMISSION strictly.
+//     / TREEMEM_BUDGET / TREEMEM_WORKERS strictly.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -373,6 +376,34 @@ TEST(SolverOutOfCore, TightBudgetPlansSpillsAndReproducesTheFactor) {
   // Disallowing out-of-core turns the same budget into a clean error.
   plan.allow_out_of_core = false;
   EXPECT_THROW(solver.plan(plan), Error);
+
+  // kAuto at w = 4 across the in-core regimes. MinMem at the in-core
+  // optimum leaves zero slack: the serial engine runs the planned
+  // traversal, never attempting a parallel schedule that could stall, and
+  // its measured peak is the planned peak.
+  plan = PlanOptions{};
+  plan.policy = TraversalPolicy::kMinMem;
+  plan.memory_budget = optimum;
+  solver.plan(plan);
+  ASSERT_EQ(solver.stats().planned_peak_entries, optimum);
+  solver.factorize(matrix, workers_options(4));
+  EXPECT_EQ(solver.stats().engine, "serial");
+  EXPECT_FALSE(solver.stats().stall_fallback);
+  EXPECT_EQ(solver.stats().measured_peak_entries, optimum);
+  EXPECT_EQ(solver.factor().values, unconstrained.factor().values);
+
+  // Any slack above the planned peak hands the run to the parallel engine.
+  plan.memory_budget = optimum + optimum / 2;
+  solver.plan(plan);
+  solver.factorize(matrix, workers_options(4));
+  EXPECT_EQ(solver.stats().engine, "parallel");
+  EXPECT_EQ(solver.factor().values, unconstrained.factor().values);
+
+  // So does an unbudgeted plan.
+  solver.plan(PlanOptions{});
+  solver.factorize(matrix, workers_options(4));
+  EXPECT_EQ(solver.stats().engine, "parallel");
+  EXPECT_EQ(solver.factor().values, unconstrained.factor().values);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,7 +432,7 @@ class SolverEnvGuard {
  private:
   static constexpr const char* kNames[] = {
       "TREEMEM_ORDERING", "TREEMEM_TRAVERSAL", "TREEMEM_BUDGET",
-      "TREEMEM_WORKERS", "TREEMEM_ADMISSION"};
+      "TREEMEM_WORKERS", "TREEMEM_ADMISSION"};  // the last one is retired
   std::vector<std::pair<std::string, std::string>> saved_;
 };
 
@@ -418,14 +449,17 @@ TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
   ::setenv("TREEMEM_TRAVERSAL", "minmem", 1);
   ::setenv("TREEMEM_BUDGET", "123456", 1);
   ::setenv("TREEMEM_WORKERS", "8", 1);
-  ::setenv("TREEMEM_ADMISSION", "lookahead", 1);
   const SolverOptions options = solver_options_from_env();
   EXPECT_EQ(options.analyze.ordering, OrderingChoice::kNestedDissection);
   EXPECT_EQ(options.plan.policy, TraversalPolicy::kMinMem);
   EXPECT_EQ(options.plan.memory_budget, 123456);
   EXPECT_EQ(options.factorize.workers, 8);
-  EXPECT_EQ(options.plan.admission, AdmissionPolicy::kLookahead);
-  EXPECT_EQ(options.factorize.admission, AdmissionPolicy::kLookahead);
+
+  // TREEMEM_ADMISSION is no longer a knob: a leftover setting, even a
+  // malformed one, changes nothing.
+  ::setenv("TREEMEM_ADMISSION", "bogus", 1);
+  EXPECT_EQ(solver_options_from_env().factorize.admission,
+            AdmissionPolicy::kGreedy);
   ::unsetenv("TREEMEM_ADMISSION");
 
   // Malformed values throw instead of silently reconfiguring the run.
@@ -451,9 +485,9 @@ TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
   }
 
   // A Solver NOT built from env-derived options is insulated from the
-  // environment: even a malformed TREEMEM_ADMISSION cannot reach its
+  // environment: even a malformed TREEMEM_WORKERS cannot reach its
   // factorize path (options flow only through SolverOptions).
-  ::setenv("TREEMEM_ADMISSION", "bogus", 1);
+  ::setenv("TREEMEM_WORKERS", "many", 1);
   Solver insulated;
   insulated.analyze(pattern).plan();
   FactorizeOptions parallel;
@@ -462,7 +496,7 @@ TEST(SolverOptionsEnv, AppliesAllKnobsStrictly) {
   insulated.factorize(make_spd_matrix(pattern, 3), parallel);
   EXPECT_EQ(insulated.stats().engine, "parallel");
   EXPECT_EQ(insulated.stats().kernel, to_string(dispatched_isa()));
-  ::unsetenv("TREEMEM_ADMISSION");
+  ::unsetenv("TREEMEM_WORKERS");
 }
 
 // ---------------------------------------------------------------------------
