@@ -4,7 +4,7 @@
 // a fixed device; this model adds the per-operation latency term, which
 // breaks ties between heuristics that trade few-large writes (FirstFit)
 // against many-small writes (LSNF fallbacks) — quantified by
-// bench/ablations and EXPERIMENTS.md.
+// bench/ablations.
 #pragma once
 
 #include "core/minio.hpp"

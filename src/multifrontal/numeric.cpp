@@ -178,6 +178,7 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   // (the kernel only scatters one child at a time).
   for (const NodeId c : tree.children(s)) {
     ContributionBlock& cb = blocks_[static_cast<std::size_t>(c)];
+    TM_ASSERT(!cb.spilled, "child " << c << " of " << s << " still spilled");
     const std::size_t cm = cb.rows.size();
     kernel_->extend_add(ws.front.data(), m, ws.front_pos.data(),
                         cb.rows.data(), cm, cb.values.data());
@@ -230,13 +231,35 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   }
 }
 
-MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
-                                         const AssemblyTree& assembly,
-                                         const Traversal& bottom_up_order,
-                                         const KernelConfig& kernel) {
-  const Tree& tree = assembly.tree;
+void FrontalEngine::spill_block(NodeId s) {
+  ContributionBlock& cb = blocks_[static_cast<std::size_t>(s)];
+  const Weight entries = static_cast<Weight>(cb.rows.size() * cb.rows.size());
+  if (entries == 0) {
+    return;
+  }
+  cb.spilled = true;
+  meter_.lower(entries);
+  entries_spilled_ += entries;
+  ++spill_events_;
+}
+
+void FrontalEngine::restore_block(NodeId s) {
+  ContributionBlock& cb = blocks_[static_cast<std::size_t>(s)];
+  if (!cb.spilled) {
+    return;
+  }
+  cb.spilled = false;
+  meter_.raise(static_cast<Weight>(cb.rows.size() * cb.rows.size()));
+}
+
+MultifrontalResult factor_serial(FrontalEngine& engine,
+                                 const Traversal& bottom_up_order,
+                                 const std::vector<char>& spill) {
+  const Tree& tree = engine.tree();
   TM_CHECK(bottom_up_order.size() == static_cast<std::size_t>(tree.size()),
            "traversal size mismatch");
+  TM_CHECK(spill.empty() || spill.size() == bottom_up_order.size(),
+           "spill flags size mismatch");
 
   // Validate the in-tree order: children before parents.
   {
@@ -256,17 +279,26 @@ MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
     }
   }
 
-  FrontalEngine engine(matrix, assembly, kernel);
   FrontWorkspace ws = engine.make_workspace();
   MultifrontalResult result;
   result.live_after_step.reserve(bottom_up_order.size());
   for (const NodeId s : bottom_up_order) {
+    // Read spilled children back first: their entries re-enter the in-core
+    // pool before the front is allocated, matching the checker's accounting
+    // where the read-back precedes MemReq(s).
+    for (const NodeId c : tree.children(s)) {
+      engine.restore_block(c);
+    }
     engine.process_front(s, ws);
+    if (!spill.empty() && spill[static_cast<std::size_t>(s)]) {
+      engine.spill_block(s);
+    }
     result.live_after_step.push_back(engine.live_entries());
   }
 
-  // Root contribution blocks are empty (mu = 1 for etree roots), so all
-  // live memory must have drained; anything left indicates a bug.
+  // Root contribution blocks are empty (mu = 1 for etree roots) and every
+  // spilled block was read back, so all live memory must have drained;
+  // anything left indicates a bug.
   TM_ASSERT(engine.live_entries() == 0,
             "contribution blocks leaked: " << engine.live_entries());
   result.peak_live_entries = engine.peak_live_entries();
@@ -276,6 +308,14 @@ MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
   result.lease_denied = leases.leases_denied;
   result.factor = engine.take_factor();
   return result;
+}
+
+MultifrontalResult multifrontal_cholesky(const SymmetricMatrix& matrix,
+                                         const AssemblyTree& assembly,
+                                         const Traversal& bottom_up_order,
+                                         const KernelConfig& kernel) {
+  FrontalEngine engine(matrix, assembly, kernel);
+  return factor_serial(engine, bottom_up_order);
 }
 
 double relative_residual(const SymmetricMatrix& matrix,

@@ -7,8 +7,12 @@
 // (allocate front, assemble original entries, extend-add the children's
 // contribution blocks, dense partial Cholesky, emit the contribution
 // block) lives in FrontalEngine::process_front, a reentrant kernel that is
-// safe to run concurrently for distinct supernodes: the serial driver
-// below walks it along a planned traversal, and factor_parallel
+// safe to run concurrently for distinct supernodes. Three drivers run it,
+// and no other code touches a front: multifrontal_cholesky walks it along
+// a planned traversal; multifrontal_cholesky_out_of_core
+// (multifrontal/out_of_core.hpp) walks it the same way (one loop,
+// factor_serial) while spilling and restoring contribution blocks to
+// execute a MinIO plan; and factor_parallel
 // (multifrontal/numeric_parallel.hpp) dispatches it as the task body of
 // the memory-bounded threaded executor.
 //
@@ -119,12 +123,22 @@ class FrontalEngine {
 
   FrontWorkspace make_workspace() const;
 
+  const Tree& tree() const { return assembly_->tree; }
+
   /// Executes supernode s end to end: allocate the front, assemble the
   /// original entries of the member columns, extend-add (and release) the
   /// children's contribution blocks, dense partial Cholesky of the leading
   /// η pivots, emit the factor columns and store the contribution block.
   /// Throws treemem::Error if a pivot is not positive (matrix not SPD).
   void process_front(NodeId s, FrontWorkspace& ws);
+
+  /// Moves the contribution block of processed supernode s to the
+  /// simulated secondary store (the block stays in memory but leaves the
+  /// live-entry meter). An empty block is not moved. Serial drivers only.
+  void spill_block(NodeId s);
+  /// Brings a spilled block back before its parent assembles it: the meter
+  /// rises by its entries. A no-op for a block that is not on the store.
+  void restore_block(NodeId s);
 
   /// Estimated dense-elimination flops per supernode, from the symbolic
   /// front sizes — the natural duration/priority proxy for scheduling.
@@ -149,6 +163,11 @@ class FrontalEngine {
   /// Total floating-point operations of the dense eliminations so far.
   long long flops() const { return flops_.load(std::memory_order_relaxed); }
 
+  /// Entries moved to the secondary store so far (each is read back once)
+  /// and the number of spill_block calls that moved any.
+  Weight entries_spilled() const { return entries_spilled_; }
+  int spill_events() const { return spill_events_; }
+
   /// The kernel's lease grant/denial tallies for this engine's run.
   KernelLeaseStats kernel_lease_stats() const {
     return kernel_->lease_stats();
@@ -165,6 +184,7 @@ class FrontalEngine {
   struct ContributionBlock {
     std::vector<Index> rows;     ///< global row indices, ascending
     std::vector<double> values;  ///< dense |rows| x |rows|, column-major
+    bool spilled = false;        ///< on the secondary store, not metered
   };
 
   const SymmetricMatrix* matrix_;
@@ -178,6 +198,8 @@ class FrontalEngine {
   std::vector<Weight> live_after_;
   LiveEntryMeter meter_;
   std::atomic<long long> flops_{0};
+  Weight entries_spilled_ = 0;
+  int spill_events_ = 0;
 };
 
 /// Result of a (serial) multifrontal run.
@@ -196,6 +218,15 @@ struct MultifrontalResult {
   long long leases_granted = 0;
   long long lease_denied = 0;
 };
+
+/// The one serial driver: runs every front of `engine` along
+/// `bottom_up_order` (validated: children before parents). Before a front
+/// it restores each spilled child; after it, it spills the front's own
+/// block if its `spill` flag is set. An empty `spill` is an in-core run. `live_after_step` records the in-core (unspilled) live
+/// entries after each step.
+MultifrontalResult factor_serial(FrontalEngine& engine,
+                                 const Traversal& bottom_up_order,
+                                 const std::vector<char>& spill = {});
 
 /// Factors `matrix` (already permuted!) with the multifrontal method,
 /// serially along the given traversal.

@@ -458,7 +458,6 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
   obs::TraceSpan phase_span("factorize", "solver", obs::TraceRecorder::kNoLane,
                             "workers", workers);
   bool stall_fallback = false;
-  const char* engine_name = "serial";
 
   if (engine == FactorizeEngine::kParallel) {
     // The planned traversal is the serial witness: plan() guaranteed its
@@ -497,35 +496,27 @@ Solver& Solver::factorize_permuted(const SymmetricMatrix& permuted,
     stall_fallback = true;
   }
 
-  Weight measured_peak = 0;
-  long long flops = 0;
-  if (plan_->out_of_core) {
-    OutOfCoreRunResult run = multifrontal_cholesky_out_of_core(
-        permuted, analysis_->assembly, plan_->io_schedule, plan_->budget);
-    measured_peak = run.peak_live_entries;
-    // The out-of-core engine does not count flops; the planned schedule
-    // executes the same eliminations, so reuse the serial convention via
-    // the factor itself (flops are reported as 0 when unknown).
-    factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
-    engine_name = "out-of-core";
-  } else {
-    MultifrontalResult run = multifrontal_cholesky(
-        permuted, analysis_->assembly, plan_->bottom_up_order, kernel);
-    measured_peak = run.peak_live_entries;
-    flops = run.flops;
-    stats_.leases_granted += run.leases_granted;
-    stats_.lease_denied += run.lease_denied;
-    factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
-  }
+  // One serial loop either way: an out-of-core plan spills and restores
+  // the blocks its schedule writes, an in-core plan writes none.
+  MultifrontalResult run =
+      plan_->out_of_core
+          ? multifrontal_cholesky_out_of_core(permuted, analysis_->assembly,
+                                              plan_->io_schedule,
+                                              plan_->budget, kernel)
+          : multifrontal_cholesky(permuted, analysis_->assembly,
+                                  plan_->bottom_up_order, kernel);
+  factor_ = std::make_shared<const CholeskyFactor>(std::move(run.factor));
   phase_ = Phase::kFactorized;
-  stats_.engine = engine_name;
+  stats_.engine = plan_->out_of_core ? "out-of-core" : "serial";
   stats_.kernel = to_string(dispatched_isa());
   stats_.admission.clear();  // serial runs have no admission decisions
   stats_.workers = 1;
-  stats_.flops = flops;
-  stats_.measured_peak_entries = measured_peak;
+  stats_.flops = run.flops;
+  stats_.measured_peak_entries = run.peak_live_entries;
   stats_.modeled_peak_entries = stats_.planned_peak_entries;
   stats_.factorize_seconds = timer.elapsed_s();
+  stats_.leases_granted += run.leases_granted;
+  stats_.lease_denied += run.lease_denied;
   stats_.parallel_speedup = 0.0;
   stats_.stall_fallback = stall_fallback;
   ++stats_.factorizations;

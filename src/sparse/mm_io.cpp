@@ -72,13 +72,20 @@ MatrixMarketData parse_coordinate(std::istream& in) {
   }
   TM_CHECK(rows >= 0 && cols >= 0 && entries >= 0,
            "negative sizes in Matrix Market header");
+  constexpr std::int64_t kMaxIndex = std::numeric_limits<Index>::max();
+  TM_CHECK(rows <= kMaxIndex && cols <= kMaxIndex,
+           "Matrix Market dimensions " << rows << "x" << cols
+                                       << " exceed the index range "
+                                       << kMaxIndex);
   data.rows = static_cast<Index>(rows);
   data.cols = static_cast<Index>(cols);
 
   const bool expand = data.symmetry != "general";
   const bool has_values = data.field != "pattern";
+  // The header's entry count is untrusted, so nothing is sized from it:
+  // `coo` grows with the entries actually read, and a forged count fails
+  // as a truncated stream.
   std::vector<Triplet> coo;
-  coo.reserve(static_cast<std::size_t>(expand ? 2 * entries : entries));
   for (std::int64_t k = 0; k < entries; ++k) {
     std::int64_t r = 0;
     std::int64_t c = 0;

@@ -125,6 +125,21 @@ TEST(MatrixMarketValues, PatternFieldHasNoValues) {
   }
 }
 
+TEST(MatrixMarketValues, ForgedHeaderSizesThrowTreememError) {
+  // Header counts are untrusted: a count no allocation can hold, or a
+  // dimension past the index range, must surface as treemem::Error (which
+  // the CLI catches), never as std::length_error or std::bad_alloc.
+  for (const char* header :
+       {"real general\n3 3 4611686018427387905\n",
+        "real symmetric\n3 3 3000000000000000000\n",
+        "real general\n3 3 100000000000\n",
+        "real general\n4294967297 4294967297 1\n"}) {
+    const std::string text = std::string("%%MatrixMarket matrix coordinate ") +
+                             header + "1 1 1.0\n";
+    EXPECT_THROW(read_matrix_market_data_string(text), Error) << header;
+  }
+}
+
 TEST(MatrixMarketValues, MissingDiagonalIsPaddedWithExplicitZeros) {
   const std::string text =
       "%%MatrixMarket matrix coordinate real symmetric\n"
