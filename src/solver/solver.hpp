@@ -184,7 +184,13 @@ struct SolverStats {
   // plan
   std::string strategy;              ///< e.g. "postorder/in-core"
   Weight memory_budget = kInfiniteWeight;
-  Weight planned_peak_entries = 0;   ///< modeled Eq. 1 peak of the plan
+  /// Modeled Eq. 1 peak of the planned traversal (the budget, for
+  /// out-of-core plans). It bounds the measured peak of the runs that
+  /// execute that traversal: the serial engine, its stall fallback and,
+  /// for out-of-core plans, the spilling run. A parallel run is bounded by
+  /// modeled_peak_entries <= memory_budget instead; unbudgeted, it may
+  /// exceed this peak.
+  Weight planned_peak_entries = 0;
   Weight in_core_optimum = 0;        ///< MinMem optimum (workspace floor)
   Weight best_postorder_peak = 0;    ///< what a postorder-only code needs
   Weight planned_io_volume = 0;      ///< entries written out-of-core (0 in-core)
@@ -257,6 +263,7 @@ struct SolverPlan {
 
   // Reporting snapshot (the plan-phase SolverStats fields).
   std::string strategy;
+  /// Same meaning and bound as SolverStats::planned_peak_entries.
   Weight planned_peak_entries = 0;
   Weight in_core_optimum = 0;
   Weight best_postorder_peak = 0;
