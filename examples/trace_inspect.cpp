@@ -9,7 +9,9 @@
 // fractions (how much of the run each scheduler lane spent inside `front`
 // spans — the executor's task payloads) and the top N longest fronts (the
 // spans that bound the makespan; the paper's root-front bottleneck shows
-// up here immediately).
+// up here immediately). A serial run has no executor, so when a trace holds
+// no `front` spans the digest reads the engine's `process_front` spans,
+// one lane per emitting thread, instead.
 //
 // The parser is deliberately narrow: it reads the obs exporter's own
 // format (one `{…}` event object per line inside `traceEvents`), not
@@ -73,6 +75,33 @@ struct LaneUsage {
   long long spans = 0;
 };
 
+/// Closed spans of one name, per lane ('B'/'E' pair up as a stack per
+/// track).
+struct SpanSet {
+  std::map<int, std::vector<FrontSpan>> open;  // lane -> span stack
+  std::vector<FrontSpan> fronts;
+  std::map<int, LaneUsage> lanes;
+
+  void add(const std::string& ph, const std::string& line, double ts) {
+    const int lane = static_cast<int>(number_field(line, "tid").value_or(0));
+    if (ph == "B") {
+      FrontSpan span;
+      span.lane = lane;
+      span.start_us = ts;
+      span.node = static_cast<long long>(
+          number_field(line, "node").value_or(-1.0));
+      open[lane].push_back(span);
+    } else if (ph == "E" && !open[lane].empty()) {
+      FrontSpan span = open[lane].back();
+      open[lane].pop_back();
+      span.duration_us = ts - span.start_us;
+      fronts.push_back(span);
+      lanes[lane].busy_us += span.duration_us;
+      ++lanes[lane].spans;
+    }
+  }
+};
+
 std::string fmt(double v, int precision = 2) {
   std::ostringstream oss;
   oss << std::fixed << std::setprecision(precision) << v;
@@ -83,12 +112,11 @@ int run(const std::string& path, std::size_t top_n) {
   std::ifstream in(path);
   TM_CHECK(in.good(), "cannot open trace " << path);
 
-  // One pass over the event lines: collect `front` begin/end pairs per
-  // scheduler lane (pid 1; 'B'/'E' pair up as a stack per track) and the
-  // run's overall time window from every timestamped event.
-  std::map<int, std::vector<FrontSpan>> open;  // lane -> span stack
-  std::vector<FrontSpan> fronts;
-  std::map<int, LaneUsage> lanes;
+  // One pass over the event lines: collect the executor's `front` spans per
+  // scheduler lane (pid 1), the engine's `process_front` spans per thread,
+  // and the run's overall time window from every timestamped event.
+  SpanSet executor_fronts;
+  SpanSet engine_fronts;
   double first_ts = 0.0, last_ts = 0.0;
   bool any_ts = false;
 
@@ -106,44 +134,34 @@ int run(const std::string& path, std::size_t top_n) {
     if (!any_ts || *ts > last_ts) last_ts = *ts;
     any_ts = true;
 
-    if (string_field(line, "name") != std::optional<std::string>("front") ||
-        number_field(line, "pid") != std::optional<double>(1.0)) {
-      continue;
-    }
-    const int lane = static_cast<int>(number_field(line, "tid").value_or(0));
-    if (*ph == "B") {
-      FrontSpan span;
-      span.lane = lane;
-      span.start_us = *ts;
-      span.node = static_cast<long long>(
-          number_field(line, "node").value_or(-1.0));
-      open[lane].push_back(span);
-    } else if (*ph == "E" && !open[lane].empty()) {
-      FrontSpan span = open[lane].back();
-      open[lane].pop_back();
-      span.duration_us = *ts - span.start_us;
-      fronts.push_back(span);
-      lanes[lane].busy_us += span.duration_us;
-      ++lanes[lane].spans;
+    const auto name = string_field(line, "name");
+    if (name == "front" &&
+        number_field(line, "pid") == std::optional<double>(1.0)) {
+      executor_fronts.add(*ph, line, *ts);
+    } else if (name == "process_front") {
+      engine_fronts.add(*ph, line, *ts);
     }
   }
   // A truncated trace (ring overflow) can open spans it never closes;
   // they are simply not counted — the retained tail is still exact.
 
+  const bool serial = executor_fronts.fronts.empty();
+  SpanSet& spans = serial ? engine_fronts : executor_fronts;
+  std::vector<FrontSpan>& fronts = spans.fronts;
   if (fronts.empty()) {
-    std::cout << "no `front` spans in " << path
-              << " — was the run traced with workers >= 1 and the parallel "
-                 "engine?\n";
+    std::cout << "no `front` or `process_front` spans in " << path
+              << " — was the run traced?\n";
     return 0;
   }
 
   const double window_us = std::max(last_ts - first_ts, 1e-9);
   std::cout << "trace: " << path << " — " << fronts.size()
-            << " fronts across " << lanes.size() << " worker lane(s), "
+            << " fronts across " << spans.lanes.size()
+            << (serial ? " engine thread(s)" : " worker lane(s)") << ", "
             << fmt(window_us / 1e3) << " ms window\n\n";
 
   TextTable lane_table({"worker", "fronts", "busy ms", "busy %", "idle %"});
-  for (const auto& [lane, usage] : lanes) {
+  for (const auto& [lane, usage] : spans.lanes) {
     const double busy_fraction = usage.busy_us / window_us;
     lane_table.add_row({"worker " + std::to_string(lane),
                         std::to_string(usage.spans),

@@ -1,7 +1,7 @@
 // The dense front kernel — the dense math of the multifrontal engine.
 //
 // FrontalEngine (multifrontal/numeric.hpp) owns the sparse choreography of
-// a front (row-set union, original-entry assembly, contribution-block slot
+// a front (front rows, original-entry assembly, contribution-block slot
 // protocol, live-entry metering); everything dense — the partial Cholesky
 // of the leading η pivots and the scatter-add of a child's contribution
 // block — goes through the one FrontKernel.

@@ -55,32 +55,23 @@ FrontalEngine::FrontalEngine(const SymmetricMatrix& matrix,
                  assembly.supernode_of[static_cast<std::size_t>(j)])]
         .push_back(j);
   }
-  for (auto& m : members_) {
-    std::sort(m.begin(), m.end());
-  }
 
   // Exact factor structure (column-merge symbolic factorization).
   factor_.pattern = symbolic_cholesky(matrix.pattern());
   factor_.values.assign(static_cast<std::size_t>(factor_.pattern.nnz()), 0.0);
 
-  // Symbolic front sizes: |union of the member columns' factor structures|.
-  // The members are the leading front rows, so the union size is the
-  // largest member structure extended by the earlier members — computed
-  // here once so durations/priorities are available before any numeric
-  // work runs.
-  front_size_.assign(static_cast<std::size_t>(tree.size()), 0);
-  std::vector<Index> mark(static_cast<std::size_t>(n), -1);
-  for (NodeId s = 0; s < tree.size(); ++s) {
-    Index count = 0;
-    for (const Index j : members_[static_cast<std::size_t>(s)]) {
-      for (const Index r : factor_.pattern.column(j)) {
-        if (mark[static_cast<std::size_t>(r)] != s) {
-          mark[static_cast<std::size_t>(r)] = s;
-          ++count;
-        }
-      }
-    }
-    front_size_[static_cast<std::size_t>(s)] = count;
+  // Fronts are read off this pattern (see the header), so the tree's (η, µ)
+  // must describe it: η members, and µ rows in the top member's column.
+  for (std::size_t s = 0; s < members_.size(); ++s) {
+    const auto& cols = members_[s];
+    const std::size_t mu =
+        cols.empty() ? 0 : factor_.pattern.column(cols.back()).size();
+    TM_CHECK(cols.size() == static_cast<std::size_t>(assembly.eta[s]) &&
+                 mu == static_cast<std::size_t>(assembly.mu[s]),
+             "assembly tree (eta " << assembly.eta[s] << ", mu "
+                                   << assembly.mu[s] << ") does not match the "
+                                   << "matrix at supernode " << s << " (eta "
+                                   << cols.size() << ", mu " << mu << ")");
   }
 
   blocks_.assign(static_cast<std::size_t>(tree.size()), {});
@@ -95,10 +86,11 @@ FrontWorkspace FrontalEngine::make_workspace() const {
 }
 
 std::vector<double> FrontalEngine::estimated_front_flops() const {
-  std::vector<double> flops(front_size_.size(), 1.0);
-  for (std::size_t s = 0; s < front_size_.size(); ++s) {
-    const double m = static_cast<double>(front_size_[s]);
-    const double eta = static_cast<double>(members_[s].size());
+  const std::size_t nodes = assembly_->eta.size();
+  std::vector<double> flops(nodes, 1.0);
+  for (std::size_t s = 0; s < nodes; ++s) {
+    const double eta = static_cast<double>(assembly_->eta[s]);
+    const double m = eta + static_cast<double>(assembly_->mu[s]) - 1.0;
     // Σ_{k=0..η-1} (m-k)² — the dense partial-Cholesky update volume.
     double cost = 0.0;
     for (double k = 0.0; k < eta; k += 1.0) {
@@ -117,34 +109,26 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   const SparsePattern& l_pattern = factor_.pattern;
   const auto& cols = members_[static_cast<std::size_t>(s)];
 
-  // Front rows: union of the member columns' factor structures.
-  ws.rows.clear();
-  for (const Index j : cols) {
-    const auto lc = l_pattern.column(j);
-    ws.rows.insert(ws.rows.end(), lc.begin(), lc.end());
-  }
-  std::sort(ws.rows.begin(), ws.rows.end());
-  ws.rows.erase(std::unique(ws.rows.begin(), ws.rows.end()), ws.rows.end());
-  const std::size_t m = ws.rows.size();
+  // Front rows: the members, then L(:,top) below the diagonal (see the
+  // header); the latter are also the contribution block's rows.
+  const std::span<const Index> cb_rows =
+      cols.empty() ? std::span<const Index>{}
+                   : l_pattern.column(cols.back()).subspan(1);
   const std::size_t eta = cols.size();
+  const std::size_t cbm = cb_rows.size();
+  const std::size_t m = eta + cbm;
   // On the emitting thread's own track: the executor separately records
   // this front on its worker lane, so serial runs still get front spans.
   obs::TraceSpan trace_front("process_front", "mf",
                              obs::TraceRecorder::kNoLane, "node",
                              static_cast<long long>(s), "m",
                              static_cast<long long>(m));
-  TM_ASSERT(m == static_cast<std::size_t>(
-                     front_size_[static_cast<std::size_t>(s)]),
-            "symbolic front size drifted from the numeric union at node " << s);
-  // Members are the eta smallest rows of the front (they are mutually
-  // reachable along the etree path inside the supernode; every other row
-  // is a strict ancestor of the top member).
   for (std::size_t k = 0; k < eta; ++k) {
-    TM_ASSERT(ws.rows[k] == cols[k],
-              "member columns are not the leading front rows at node " << s);
+    ws.front_pos[static_cast<std::size_t>(cols[k])] = static_cast<Index>(k);
   }
-  for (std::size_t k = 0; k < m; ++k) {
-    ws.front_pos[static_cast<std::size_t>(ws.rows[k])] = static_cast<Index>(k);
+  for (std::size_t k = 0; k < cbm; ++k) {
+    ws.front_pos[static_cast<std::size_t>(cb_rows[k])] =
+        static_cast<Index>(eta + k);
   }
 
   ws.front.assign(m * m, 0.0);
@@ -153,15 +137,21 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   };
 
   // Assemble the original entries of the member columns (lower part).
+  const SparsePattern& a_pattern = matrix_->pattern();
   for (const Index j : cols) {
     const std::size_t jc = static_cast<std::size_t>(
         ws.front_pos[static_cast<std::size_t>(j)]);
-    for (const Index r : matrix_->pattern().column(j)) {
+    const auto a_col = a_pattern.column(j);
+    const double* const a_val =
+        matrix_->values().data() +
+        a_pattern.col_ptr()[static_cast<std::size_t>(j)];
+    for (std::size_t i = 0; i < a_col.size(); ++i) {
+      const Index r = a_col[i];
       if (r >= j) {
         TM_ASSERT(ws.front_pos[static_cast<std::size_t>(r)] >= 0,
                   "matrix entry outside the front at (" << r << "," << j << ")");
         at(static_cast<std::size_t>(ws.front_pos[static_cast<std::size_t>(r)]),
-           jc) += matrix_->value_of(r, j);
+           jc) += a_val[i];
       }
     }
   }
@@ -183,10 +173,7 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
     kernel_->extend_add(ws.front.data(), m, ws.front_pos.data(),
                         cb.rows.data(), cm, cb.values.data());
     meter_.lower(static_cast<Weight>(cm * cm));
-    cb.rows.clear();
-    cb.rows.shrink_to_fit();
-    cb.values.clear();
-    cb.values.shrink_to_fit();
+    cb = {};
   }
 
   // Dense partial Cholesky of the leading eta pivots via the dense kernel
@@ -203,9 +190,10 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
     const std::size_t base = static_cast<std::size_t>(
         l_pattern.col_ptr()[static_cast<std::size_t>(j)]);
     for (std::size_t i = 0; i < lc.size(); ++i) {
-      const std::size_t fr = static_cast<std::size_t>(
-          ws.front_pos[static_cast<std::size_t>(lc[i])]);
-      factor_.values[base + i] = at(fr, k);
+      const Index fr = ws.front_pos[static_cast<std::size_t>(lc[i])];
+      TM_ASSERT(fr >= 0, "factor entry (" << lc[i] << "," << j
+                                          << ") outside the front of " << s);
+      factor_.values[base + i] = at(static_cast<std::size_t>(fr), k);
     }
   }
 
@@ -214,9 +202,7 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   // counted inside m², so the meter shrinks by m² − (m−η)² in one step and
   // the peak cannot rise here.
   ContributionBlock& own = blocks_[static_cast<std::size_t>(s)];
-  const std::size_t cbm = m - eta;
-  own.rows.assign(ws.rows.begin() + static_cast<std::ptrdiff_t>(eta),
-                  ws.rows.end());
+  own.rows = cb_rows;
   own.values.assign(cbm * cbm, 0.0);
   for (std::size_t c = 0; c < cbm; ++c) {
     for (std::size_t r = c; r < cbm; ++r) {
@@ -226,7 +212,10 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   live_after_[static_cast<std::size_t>(s)] =
       meter_.lower(static_cast<Weight>(m * m - cbm * cbm));
 
-  for (const Index r : ws.rows) {
+  for (const Index j : cols) {
+    ws.front_pos[static_cast<std::size_t>(j)] = -1;
+  }
+  for (const Index r : cb_rows) {
     ws.front_pos[static_cast<std::size_t>(r)] = -1;
   }
 }

@@ -20,23 +20,28 @@
 // contribution-block scatter-add — is delegated to the FrontKernel
 // (dense/front_kernel.hpp): blocked, SIMD, leasing pool workers for large
 // fronts, and bit-identical to the scalar reference. The engine keeps
-// everything the kernel must not perturb: the front row-set union, the
-// tree-ordered extend-add of children (schedule-exact sums), the
-// contribution-block slot protocol and the LiveEntryMeter accounting, so
-// the Eq. 1 modeled/measured invariants hold.
+// everything the kernel must not perturb: the front rows, the tree-ordered
+// extend-add of children (schedule-exact sums), the contribution-block slot
+// protocol and the LiveEntryMeter accounting, so the Eq. 1
+// modeled/measured invariants hold.
+//
+// Front rows come straight off the factor pattern: a supernode is a
+// connected etree subtree topped by its largest member, so its front rows
+// are its η member columns followed by L(:,top) below the diagonal — exactly
+// η + µ − 1 rows, the front of the paper's weights (Section VI-B), at every
+// relax. Relaxed amalgamation pads a front with explicit zeros inside it,
+// never with extra rows.
 //
 // Measured vs. modeled memory: the engine counts *measured* live factor
 // entries (resident contribution blocks + active fronts) in an atomic
 // meter, following the model's carve-out convention — a front's
 // contribution block is part of the front until the front is released, so
 // per-front occupancy moves m² → m² − Σ(children CBs) → (m−η)² and the
-// meter's peak is only raised when a front is allocated. For trees built
-// with perfect amalgamation only, the measured live entries at every step
-// of a serial schedule equal the abstract Eq. 1 in-tree transient of
-// core/check.hpp exactly (full-square frontal storage, the paper's
-// convention); with relaxed amalgamation the model pads fronts with
-// explicit zeros, so measured memory is bounded by the model. Both facts
-// are asserted in the tests.
+// meter's peak is only raised when a front is allocated. The measured live
+// entries at every step of a serial schedule therefore equal the abstract
+// Eq. 1 in-tree transient of core/check.hpp exactly (full-square frontal
+// storage, the paper's convention). The tests assert this for peaks at
+// relax 0 to 16 and step by step at relax 0.
 //
 // Scope: double-precision Cholesky of symmetric positive definite matrices;
 // fronts are dense full squares; contribution blocks live until the parent
@@ -45,6 +50,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/traversal.hpp"
@@ -98,7 +104,6 @@ class FrontWorkspace {
 
  private:
   friend class FrontalEngine;
-  std::vector<Index> rows;       ///< front row set, ascending
   std::vector<Index> front_pos;  ///< global row → front row, -1 outside
   std::vector<double> front;     ///< dense front, column-major
 };
@@ -115,9 +120,11 @@ class FrontWorkspace {
 /// per supernode; flop and live-entry counters are atomic.
 class FrontalEngine {
  public:
-  /// Validates that `assembly` matches `matrix` and precomputes the member
-  /// columns, the factor pattern and the per-front sizes. `kernel` tunes
-  /// the dense front kernel.
+  /// Precomputes the member columns and the factor pattern, whose column
+  /// at each supernode's top holds that front's rows below the members.
+  /// Throws treemem::Error unless every supernode's η and µ in `assembly`
+  /// match `matrix` (so fronts have η + µ − 1 rows). `kernel` tunes the
+  /// dense front kernel.
   FrontalEngine(const SymmetricMatrix& matrix, const AssemblyTree& assembly,
                 const KernelConfig& kernel = {});
 
@@ -140,8 +147,8 @@ class FrontalEngine {
   /// rises by its entries. A no-op for a block that is not on the store.
   void restore_block(NodeId s);
 
-  /// Estimated dense-elimination flops per supernode, from the symbolic
-  /// front sizes — the natural duration/priority proxy for scheduling.
+  /// Estimated dense-elimination flops per supernode, from the front sizes
+  /// η + µ − 1 — the natural duration/priority proxy for scheduling.
   std::vector<double> estimated_front_flops() const;
 
   /// Measured live factor entries right now / at the run's high-water mark
@@ -182,16 +189,15 @@ class FrontalEngine {
   /// Live contribution block of a completed supernode (full-square storage,
   /// the paper's accounting convention).
   struct ContributionBlock {
-    std::vector<Index> rows;     ///< global row indices, ascending
-    std::vector<double> values;  ///< dense |rows| x |rows|, column-major
-    bool spilled = false;        ///< on the secondary store, not metered
+    std::span<const Index> rows;  ///< L(:,top) below the diagonal
+    std::vector<double> values;   ///< dense |rows| x |rows|, column-major
+    bool spilled = false;         ///< on the secondary store, not metered
   };
 
   const SymmetricMatrix* matrix_;
   const AssemblyTree* assembly_;
   std::unique_ptr<const FrontKernel> kernel_;
   std::vector<std::vector<Index>> members_;  ///< columns per supernode
-  std::vector<Index> front_size_;            ///< |front rows| per supernode
   CholeskyFactor factor_;
   std::vector<ContributionBlock> blocks_;
   std::vector<Weight> transient_at_start_;

@@ -10,10 +10,9 @@
 // abstract Eq. 1 transient accounting, which remains the source of truth
 // for the memory budget. The engine independently meters *measured* live
 // factor entries; on every run measured occupancy is bounded by the
-// modeled occupancy (fronts never exceed their padded model weights), and
-// on single-worker runs over perfectly amalgamated trees the two agree
-// step for step — both facts are pinned by
-// tests/multifrontal/numeric_parallel_test.cpp.
+// modeled occupancy, and on single-worker runs the two agree step for step
+// (every front has exactly its model's η + µ − 1 rows) — both facts are
+// pinned by tests/multifrontal/numeric_parallel_test.cpp.
 //
 // The factor is schedule-exact: fronts write disjoint factor columns and
 // extend-add walks children in tree order, so every worker count and every

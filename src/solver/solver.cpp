@@ -14,7 +14,6 @@
 #include "support/env.hpp"
 #include "support/parallel_for.hpp"
 #include "support/timer.hpp"
-#include "symbolic/symbolic.hpp"
 
 namespace treemem {
 
@@ -125,7 +124,8 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   AssemblyTreeOptions tree_options;
   tree_options.relax = options.relax;
   tree_options.perfect = options.perfect;
-  AssemblyTree assembly = build_assembly_tree(permuted, tree_options);
+  std::int64_t nnz_l = 0;
+  AssemblyTree assembly = build_assembly_tree(permuted, tree_options, &nnz_l);
 
   // Gather map: permuted entry (r, j) holds the original value at
   // (perm[r], perm[j]). Resolving those offsets once here turns every
@@ -155,7 +155,7 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   analysis->permuted_pattern = std::move(permuted);
   analysis->assembly = std::move(assembly);
   analysis->permuted_value_map = std::move(value_map);
-  analysis->factor_nnz = factor_nnz(analysis->permuted_pattern);
+  analysis->factor_nnz = nnz_l;
   analysis->ordering_name = to_string(options.ordering);
   analysis->analyze_seconds = timer.elapsed_s();
 

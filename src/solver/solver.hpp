@@ -103,7 +103,9 @@ const char* to_string(FactorizeEngine engine);
 struct AnalyzeOptions {
   OrderingChoice ordering = OrderingChoice::kMinDegree;
   /// Relaxed amalgamations per supernode (assembly_tree.hpp; the paper
-  /// uses 1, 2, 4 and 16). 0 keeps perfect supernodes: model == machine.
+  /// uses 1, 2, 4 and 16). Fronts have exactly the model's η + µ − 1 rows
+  /// at every relax: relaxation pads with explicit zeros inside a front,
+  /// not with extra rows.
   Index relax = 1;
   /// Perform perfect (fundamental supernode) amalgamation first.
   bool perfect = true;

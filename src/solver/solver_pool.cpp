@@ -266,14 +266,14 @@ SolveOutcome SolverPool::run_job(Solver& solver, SolveRequest& request) {
           pattern_key, request.matrix.values(), std::move(factor), residency);
       // insert() may itself have evicted (max_entries); and a racing
       // duplicate insert returns false — either way, hand the freed
-      // charge back to the accountant.
+      // charge back to the accountant. Release even when nothing was
+      // freed: the inserted factor is now evictable, and a job that found
+      // the cache empty in acquire_memory must wake up to evict it.
       Weight freed = factor_cache_.take_freed_charge();
       if (!inserted) {
         freed += residency;
       }
-      if (freed > 0) {
-        release_memory(freed);
-      }
+      release_memory(freed);
     }
   }
 

@@ -214,7 +214,8 @@ AssemblyTree amalgamate(const std::vector<Index>& parent,
 }
 
 AssemblyTree build_assembly_tree(const SparsePattern& a,
-                                 const AssemblyTreeOptions& options) {
+                                 const AssemblyTreeOptions& options,
+                                 std::int64_t* factor_nnz) {
   TM_CHECK(a.is_square(), "build_assembly_tree: pattern must be square");
   TM_CHECK(a.is_symmetric(),
            "build_assembly_tree: pattern must be symmetric (symmetrize first)");
@@ -222,6 +223,9 @@ AssemblyTree build_assembly_tree(const SparsePattern& a,
            "build_assembly_tree: pattern must have a full diagonal");
   const std::vector<Index> parent = elimination_tree(a);
   const std::vector<Index> counts = column_counts(a, parent);
+  if (factor_nnz != nullptr) {
+    *factor_nnz = std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
+  }
   return amalgamate(parent, counts, options);
 }
 

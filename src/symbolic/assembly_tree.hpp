@@ -45,9 +45,12 @@ struct AssemblyTree {
 };
 
 /// Builds the assembly tree of a symmetric pattern (apply symmetrize()
-/// first; the pattern must have a full diagonal).
+/// first; the pattern must have a full diagonal). A non-null `factor_nnz`
+/// receives nnz(L), the sum of the column counts the tree is built from, so
+/// a caller that needs both runs the elimination tree and counts once.
 AssemblyTree build_assembly_tree(const SparsePattern& a,
-                                 const AssemblyTreeOptions& options = {});
+                                 const AssemblyTreeOptions& options = {},
+                                 std::int64_t* factor_nnz = nullptr);
 
 /// Amalgamation on a precomputed elimination forest: exposed separately so
 /// tests can drive it with handcrafted parents/counts.

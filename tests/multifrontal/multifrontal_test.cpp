@@ -170,9 +170,9 @@ TEST_P(FactorizationSweep, RelaxedFrontsNeverExceedTheModel) {
         reverse_traversal(best_postorder(assembly.tree).order);
     const MultifrontalResult run =
         multifrontal_cholesky(permuted, assembly, bottom_up);
-    // The model pads relaxed fronts with explicit zeros; real fronts are
-    // index unions, so measured memory is bounded by the model's peak.
-    EXPECT_LE(run.peak_live_entries,
+    // Relaxed fronts hold exactly the model's η + µ − 1 rows (the padding
+    // is explicit zeros inside them), so measured memory is the model's.
+    EXPECT_EQ(run.peak_live_entries,
               in_tree_traversal_peak(assembly.tree, bottom_up))
         << "relax=" << relax;
   }
@@ -205,6 +205,16 @@ TEST(Multifrontal, RejectsIndefiniteMatrix) {
   const Traversal bottom_up =
       reverse_traversal(best_postorder(assembly.tree).order);
   EXPECT_THROW(multifrontal_cholesky(negated, assembly, bottom_up), Error);
+}
+
+TEST(Multifrontal, RejectsAnAssemblyTreeOfAnotherPattern) {
+  // Same n, other pattern: the 9-point grid's supernodes have other η and µ
+  // than the 5-point grid's factor, so the engine refuses the tree.
+  const SymmetricMatrix a = make_spd_matrix(symmetrize(gen::grid2d(5, 5)), 3);
+  const AssemblyTree foreign =
+      build_assembly_tree(symmetrize(gen::grid2d(5, 5, true)));
+  ASSERT_EQ(foreign.columns, a.size());
+  EXPECT_THROW(FrontalEngine engine(a, foreign), Error);
 }
 
 TEST(Multifrontal, FlopsArePositiveAndScaleWithFill) {

@@ -1,10 +1,12 @@
 // Tests for the symbolic factorization substrate: elimination trees,
 // postorder, column counts (validated against the explicit symbolic
-// factor), amalgamation and assembly-tree weights.
+// factor), amalgamation, assembly-tree weights and front row sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
+#include "order/ordering.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/pattern.hpp"
 #include "support/prng.hpp"
@@ -237,6 +239,66 @@ TEST(Amalgamation, WeightsFollowPaperFormulas) {
     ASSERT_GE(mu, 1);
     EXPECT_EQ(at.tree.work_size(i), eta * eta + 2 * eta * (mu - 1));
     EXPECT_EQ(at.tree.file_size(i), (mu - 1) * (mu - 1));
+  }
+}
+
+// A supernode is a connected etree subtree topped by its largest member, so
+// the union of its members' factor columns is the members followed by
+// L(:,top) below the diagonal: η + µ − 1 rows. FrontalEngine reads its front
+// rows off that identity; the union here is the reference it replaced.
+TEST(Amalgamation, FrontRowsAreMembersThenTopColumn) {
+  std::vector<SparsePattern> patterns = {
+      symmetrize(gen::grid2d(12, 12)), symmetrize(gen::grid2d(9, 9, true)),
+      symmetrize(gen::grid3d(5, 5, 5, true))};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    patterns.push_back(random_spd_pattern(seed, 60, 3.0));
+  }
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    const SparsePattern& raw = patterns[p];
+    const std::vector<std::vector<Index>> orders = {
+        natural_order(raw.cols()), rcm_order(raw), min_degree_order(raw),
+        nested_dissection_order(raw)};
+    for (std::size_t o = 0; o < orders.size(); ++o) {
+      const SparsePattern a = permute_symmetric(raw, orders[o]);
+      const SparsePattern l = symbolic_cholesky(a);
+      for (const Index relax : {0, 1, 4, 16}) {
+        AssemblyTreeOptions options;
+        options.relax = relax;
+        const AssemblyTree at = build_assembly_tree(a, options);
+        std::vector<std::vector<Index>> members(
+            static_cast<std::size_t>(at.tree.size()));
+        for (Index j = 0; j < a.cols(); ++j) {
+          members[static_cast<std::size_t>(
+                      at.supernode_of[static_cast<std::size_t>(j)])]
+              .push_back(j);
+        }
+        for (std::size_t s = 0; s < members.size(); ++s) {
+          const std::vector<Index>& cols = members[s];
+          if (cols.empty()) {
+            continue;  // the virtual root eliminates nothing
+          }
+          std::vector<Index> row_union;
+          for (const Index j : cols) {
+            const auto lc = l.column(j);
+            row_union.insert(row_union.end(), lc.begin(), lc.end());
+          }
+          std::sort(row_union.begin(), row_union.end());
+          row_union.erase(std::unique(row_union.begin(), row_union.end()),
+                          row_union.end());
+          std::vector<Index> expected = cols;
+          const auto top = l.column(cols.back());
+          expected.insert(expected.end(), top.begin() + 1, top.end());
+          const std::string where = "pattern " + std::to_string(p) +
+                                    " order " + std::to_string(o) +
+                                    " relax " + std::to_string(relax) +
+                                    " supernode " + std::to_string(s);
+          ASSERT_EQ(row_union, expected) << where;
+          EXPECT_EQ(static_cast<Index>(row_union.size()),
+                    at.eta[s] + at.mu[s] - 1)
+              << where;
+        }
+      }
+    }
   }
 }
 
