@@ -1,23 +1,19 @@
 #include "solver/numeric_cache.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "solver/fnv1a.hpp"
 #include "support/check.hpp"
 
 namespace treemem {
 
 std::uint64_t value_fingerprint(const std::vector<double>& values) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+  std::uint64_t h = kFnv1aOffsetBasis;
   for (const double value : values) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (bits >> shift) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
+    fnv1a_mix(h, std::bit_cast<std::uint64_t>(value));
   }
   return h;
 }

@@ -102,9 +102,6 @@ Solver& Solver::analyze(const SparsePattern& pattern,
   obs::TraceSpan phase_span("analyze", "solver", obs::TraceRecorder::kNoLane,
                             "n", static_cast<long long>(pattern.cols()));
 
-  auto analysis = std::make_shared<SolverAnalysis>();
-  analysis->options = options;
-
   std::vector<Index> perm;
   switch (options.ordering) {
     case OrderingChoice::kNatural:
@@ -120,6 +117,13 @@ Solver& Solver::analyze(const SparsePattern& pattern,
       perm = nested_dissection_order(pattern);
       break;
   }
+  return analyze_ordered(pattern, std::move(perm), options, timer);
+}
+
+Solver& Solver::analyze_ordered(const SparsePattern& pattern,
+                                std::vector<Index> perm,
+                                const AnalyzeOptions& options,
+                                const Timer& timer) {
   SparsePattern permuted = permute_symmetric(pattern, perm);
   AssemblyTreeOptions tree_options;
   tree_options.relax = options.relax;
@@ -150,6 +154,8 @@ Solver& Solver::analyze(const SparsePattern& pattern,
     }
   }
 
+  auto analysis = std::make_shared<SolverAnalysis>();
+  analysis->options = options;
   analysis->pattern = pattern;
   analysis->perm = std::move(perm);
   analysis->permuted_pattern = std::move(permuted);

@@ -60,6 +60,8 @@
 
 namespace treemem {
 
+class Timer;
+
 /// Fill-reducing ordering applied in analyze(). kNatural accepts the
 /// pattern as-is — the choice for matrices permuted by an external
 /// ordering (e.g. the perf corpus instances).
@@ -390,6 +392,15 @@ class Solver {
 
   void require_phase(Phase at_least, const char* verb,
                      const char* prerequisite) const;
+  /// analyze() after its ordering switch: the permuted pattern, assembly
+  /// tree, nnz(L) and value gather map of the elimination order `perm`,
+  /// committed as the solver's analysis. `timer` started with the phase.
+  Solver& analyze_ordered(const SparsePattern& pattern,
+                          std::vector<Index> perm,
+                          const AnalyzeOptions& options, const Timer& timer);
+  // The state-file loader (solver/symbolic_store.cpp) rebuilds a persisted
+  // ordering through analyze_ordered() and plan().
+  friend struct SymbolicFile;
   SymmetricMatrix permute_values(const std::vector<double>& values) const;
   Solver& factorize_permuted(const SymmetricMatrix& permuted,
                              const FactorizeOptions& options);

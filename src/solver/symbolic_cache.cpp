@@ -4,19 +4,11 @@
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "solver/fnv1a.hpp"
 
 namespace treemem {
 
 namespace {
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t value) {
-  // FNV-1a over the value's 8 bytes (little-endian order is irrelevant to
-  // stability here: we always feed native integers the same way).
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (value >> shift) & 0xffULL;
-    h *= 0x100000001b3ULL;
-  }
-}
 
 bool same_pattern(const SparsePattern& a, const SparsePattern& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
@@ -31,14 +23,14 @@ std::size_t pattern_bytes(const SparsePattern& pattern) {
 }  // namespace
 
 std::uint64_t pattern_fingerprint(const SparsePattern& pattern) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  fnv_mix(h, static_cast<std::uint64_t>(pattern.rows()));
-  fnv_mix(h, static_cast<std::uint64_t>(pattern.cols()));
+  std::uint64_t h = kFnv1aOffsetBasis;
+  fnv1a_mix(h, static_cast<std::uint64_t>(pattern.rows()));
+  fnv1a_mix(h, static_cast<std::uint64_t>(pattern.cols()));
   for (const auto p : pattern.col_ptr()) {
-    fnv_mix(h, static_cast<std::uint64_t>(p));
+    fnv1a_mix(h, static_cast<std::uint64_t>(p));
   }
   for (const auto r : pattern.row_idx()) {
-    fnv_mix(h, static_cast<std::uint64_t>(r));
+    fnv1a_mix(h, static_cast<std::uint64_t>(r));
   }
   return h;
 }

@@ -12,13 +12,14 @@
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/timer.hpp"
 
 namespace treemem {
 
 namespace {
 
 constexpr char kMagic[8] = {'T', 'M', 'S', 'Y', 'M', 'B', '0', '1'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 // ---------------------------------------------------------------------------
 // Binary encoding: native-endian scalars and length-prefixed arrays. The
@@ -47,11 +48,6 @@ class Writer {
     const std::size_t at = buffer_.size();
     buffer_.resize(at + values.size() * sizeof(T));
     std::memcpy(buffer_.data() + at, values.data(), values.size() * sizeof(T));
-  }
-
-  void string(const std::string& text) {
-    scalar(static_cast<std::uint64_t>(text.size()));
-    buffer_.insert(buffer_.end(), text.begin(), text.end());
   }
 
   const std::vector<char>& buffer() const { return buffer_; }
@@ -89,12 +85,14 @@ class Reader {
     return values;
   }
 
-  std::string string() {
-    const std::uint64_t size = scalar<std::uint64_t>();
-    require(size);
-    std::string text(buffer_.data() + at_, static_cast<std::size_t>(size));
-    at_ += static_cast<std::size_t>(size);
-    return text;
+  /// A one-byte enum; a value past `last` marks a foreign file.
+  template <typename Enum>
+  Enum enumerator(Enum last) {
+    const std::uint8_t value = scalar<std::uint8_t>();
+    TM_CHECK(value <= static_cast<std::uint8_t>(last),
+             "symbolic file " << path_ << ": enum value " << int{value}
+                              << " out of range");
+    return static_cast<Enum>(value);
   }
 
   void expect_end() const {
@@ -119,23 +117,32 @@ class Reader {
   std::size_t at_ = 0;
 };
 
-void write_pattern(Writer& out, const SparsePattern& pattern) {
-  out.scalar<std::int32_t>(pattern.rows());
-  out.scalar<std::int32_t>(pattern.cols());
-  out.array(pattern.col_ptr());
-  out.array(pattern.row_idx());
-}
-
-SparsePattern read_pattern(Reader& in) {
-  const Index rows = in.scalar<std::int32_t>();
-  const Index cols = in.scalar<std::int32_t>();
-  std::vector<std::int64_t> col_ptr = in.array<std::int64_t>();
-  std::vector<Index> row_idx = in.array<Index>();
-  // The validating constructor rejects malformed CSC arrays.
-  return SparsePattern(rows, cols, std::move(col_ptr), std::move(row_idx));
-}
-
 }  // namespace
+
+/// Everything a version 3 state file holds: the build options, the
+/// analyzed pattern and its elimination order. rebuild() derives the rest
+/// with the code that derived it before the write, so no file can carry a
+/// derived array that disagrees with its ordering.
+struct SymbolicFile {
+  AnalyzeOptions analyze;
+  PlanOptions plan;
+  SparsePattern pattern;
+  std::vector<Index> perm;
+
+  /// Parses `path`. Throws treemem::Error when the file is missing,
+  /// truncated, carries a wrong magic/version or an out-of-range enum, its
+  /// pattern is malformed, or its stored fingerprint disagrees with it.
+  static SymbolicFile read(const std::string& path);
+
+  /// analyze()'s post-ordering half on `perm`, then plan(). Rejects a
+  /// non-permutation, an unsymmetric pattern and an infeasible budget.
+  SolverSymbolic rebuild() const {
+    check_permutation(perm, pattern.cols());
+    Solver solver;
+    solver.analyze_ordered(pattern, perm, analyze, Timer());
+    return solver.plan(plan).symbolic();
+  }
+};
 
 bool same_build_options(const AnalyzeOptions& a, const AnalyzeOptions& b) {
   return a.ordering == b.ordering && a.relax == b.relax &&
@@ -153,7 +160,7 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
            "write_symbolic_file: symbolic state must carry both an analysis "
            "and a plan");
   const SolverAnalysis& a = *symbolic.analysis;
-  const SolverPlan& p = *symbolic.plan;
+  const PlanOptions& plan = symbolic.plan->options;
 
   Writer out;
   for (const char c : kMagic) {
@@ -165,41 +172,16 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
   out.scalar(static_cast<std::uint8_t>(a.options.ordering));
   out.scalar<std::int32_t>(a.options.relax);
   out.scalar(static_cast<std::uint8_t>(a.options.perfect));
-  out.scalar(static_cast<std::uint8_t>(p.options.policy));
-  out.scalar<std::int64_t>(p.options.memory_budget);
-  out.scalar(static_cast<std::uint8_t>(p.options.allow_out_of_core));
+  out.scalar(static_cast<std::uint8_t>(plan.policy));
+  out.scalar<std::int64_t>(plan.memory_budget);
+  out.scalar(static_cast<std::uint8_t>(plan.allow_out_of_core));
 
   out.scalar(pattern_fingerprint(a.pattern));
-
-  // Analysis.
-  write_pattern(out, a.pattern);
+  out.scalar<std::int32_t>(a.pattern.rows());
+  out.scalar<std::int32_t>(a.pattern.cols());
+  out.array(a.pattern.col_ptr());
+  out.array(a.pattern.row_idx());
   out.array(a.perm);
-  write_pattern(out, a.permuted_pattern);
-  out.array(a.assembly.tree.parents());
-  out.array(a.assembly.tree.files());
-  out.array(a.assembly.tree.works());
-  out.array(a.assembly.supernode_of);
-  out.array(a.assembly.eta);
-  out.array(a.assembly.mu);
-  out.scalar<std::int32_t>(a.assembly.columns);
-  out.scalar(static_cast<std::uint8_t>(a.assembly.has_virtual_root));
-  out.array(a.permuted_value_map);
-  out.scalar<std::int64_t>(a.factor_nnz);
-  out.string(a.ordering_name);
-  out.scalar(a.analyze_seconds);
-
-  // Plan.
-  out.array(p.bottom_up_order);
-  out.array(p.io_schedule.order);
-  out.array(p.io_schedule.writes);
-  out.scalar(static_cast<std::uint8_t>(p.out_of_core));
-  out.scalar<std::int64_t>(p.budget);
-  out.string(p.strategy);
-  out.scalar<std::int64_t>(p.planned_peak_entries);
-  out.scalar<std::int64_t>(p.in_core_optimum);
-  out.scalar<std::int64_t>(p.best_postorder_peak);
-  out.scalar<std::int64_t>(p.planned_io_volume);
-  out.scalar(p.plan_seconds);
 
   // Temp + rename: a crash mid-write never leaves a half file that a
   // later warm start would have to reject.
@@ -217,7 +199,7 @@ void write_symbolic_file(const SolverSymbolic& symbolic,
                                                << " failed: " << ec.message());
 }
 
-SolverSymbolic read_symbolic_file(const std::string& path) {
+SymbolicFile SymbolicFile::read(const std::string& path) {
   std::vector<char> buffer;
   {
     std::ifstream file(path, std::ios::binary | std::ios::ate);
@@ -240,63 +222,34 @@ SolverSymbolic read_symbolic_file(const std::string& path) {
                                     << path << " has version " << version
                                     << ", expected " << kVersion);
 
-  auto analysis = std::make_shared<SolverAnalysis>();
-  auto plan = std::make_shared<SolverPlan>();
-
-  analysis->options.ordering =
-      static_cast<OrderingChoice>(in.scalar<std::uint8_t>());
-  analysis->options.relax = in.scalar<std::int32_t>();
-  analysis->options.perfect = in.scalar<std::uint8_t>() != 0;
-  plan->options.policy =
-      static_cast<TraversalPolicy>(in.scalar<std::uint8_t>());
-  plan->options.memory_budget = in.scalar<std::int64_t>();
-  plan->options.allow_out_of_core = in.scalar<std::uint8_t>() != 0;
+  SymbolicFile stored;
+  stored.analyze.ordering =
+      in.enumerator(OrderingChoice::kNestedDissection);
+  stored.analyze.relax = in.scalar<std::int32_t>();
+  stored.analyze.perfect = in.scalar<std::uint8_t>() != 0;
+  stored.plan.policy = in.enumerator(TraversalPolicy::kMinMem);
+  stored.plan.memory_budget = in.scalar<std::int64_t>();
+  stored.plan.allow_out_of_core = in.scalar<std::uint8_t>() != 0;
 
   const std::uint64_t stored_fingerprint = in.scalar<std::uint64_t>();
-
-  analysis->pattern = read_pattern(in);
-  analysis->perm = in.array<Index>();
-  analysis->permuted_pattern = read_pattern(in);
-  std::vector<NodeId> parents = in.array<NodeId>();
-  std::vector<Weight> files = in.array<Weight>();
-  std::vector<Weight> works = in.array<Weight>();
-  // The Tree constructor re-validates the parent array (single root, no
-  // cycles, f_i >= 0), so a tampered file cannot build a malformed tree.
-  analysis->assembly.tree =
-      Tree(std::move(parents), std::move(files), std::move(works));
-  analysis->assembly.supernode_of = in.array<NodeId>();
-  analysis->assembly.eta = in.array<Index>();
-  analysis->assembly.mu = in.array<Index>();
-  analysis->assembly.columns = in.scalar<std::int32_t>();
-  analysis->assembly.has_virtual_root = in.scalar<std::uint8_t>() != 0;
-  analysis->permuted_value_map = in.array<std::size_t>();
-  analysis->factor_nnz = in.scalar<std::int64_t>();
-  analysis->ordering_name = in.string();
-  analysis->analyze_seconds = in.scalar<double>();
-
-  plan->bottom_up_order = in.array<NodeId>();
-  plan->io_schedule.order = in.array<NodeId>();
-  plan->io_schedule.writes = in.array<IoWrite>();
-  plan->out_of_core = in.scalar<std::uint8_t>() != 0;
-  plan->budget = in.scalar<std::int64_t>();
-  plan->strategy = in.string();
-  plan->planned_peak_entries = in.scalar<std::int64_t>();
-  plan->in_core_optimum = in.scalar<std::int64_t>();
-  plan->best_postorder_peak = in.scalar<std::int64_t>();
-  plan->planned_io_volume = in.scalar<std::int64_t>();
-  plan->plan_seconds = in.scalar<double>();
+  const Index rows = in.scalar<std::int32_t>();
+  const Index cols = in.scalar<std::int32_t>();
+  std::vector<std::int64_t> col_ptr = in.array<std::int64_t>();
+  std::vector<Index> row_idx = in.array<Index>();
+  stored.perm = in.array<Index>();
   in.expect_end();
 
-  TM_CHECK(pattern_fingerprint(analysis->pattern) == stored_fingerprint,
+  // The validating constructor rejects malformed CSC arrays.
+  stored.pattern =
+      SparsePattern(rows, cols, std::move(col_ptr), std::move(row_idx));
+  TM_CHECK(pattern_fingerprint(stored.pattern) == stored_fingerprint,
            "read_symbolic_file: " << path << " fingerprint mismatch (stale "
                                   << "or tampered state file)");
-  check_permutation(analysis->perm, analysis->pattern.cols());
-  TM_CHECK(plan->bottom_up_order.size() ==
-               static_cast<std::size_t>(analysis->assembly.tree.size()),
-           "read_symbolic_file: " << path << " plan order does not cover the "
-                                  << "assembly tree");
+  return stored;
+}
 
-  return SolverSymbolic{std::move(analysis), std::move(plan)};
+SolverSymbolic read_symbolic_file(const std::string& path) {
+  return SymbolicFile::read(path).rebuild();
 }
 
 std::string symbolic_file_name(std::uint64_t fingerprint, std::size_t slot) {
@@ -347,17 +300,19 @@ SymbolicStoreReport load_symbolic_state(SymbolicCache& cache,
   for (const std::filesystem::path& path : files) {
     SolverSymbolic symbolic;
     try {
-      symbolic = read_symbolic_file(path.string());
+      const SymbolicFile stored = SymbolicFile::read(path.string());
+      // Options first: a file built for another configuration costs no
+      // rebuild.
+      if (!same_build_options(stored.analyze, cache.options().analyze) ||
+          !same_build_options(stored.plan, cache.options().plan)) {
+        ++report.skipped_options;
+        continue;
+      }
+      symbolic = stored.rebuild();
     } catch (const Error&) {
       // A stale or corrupt file degrades that pattern to a cold build;
       // the warm start itself must never fail on leftover state.
       ++report.skipped_invalid;
-      continue;
-    }
-    if (!same_build_options(symbolic.analysis->options,
-                            cache.options().analyze) ||
-        !same_build_options(symbolic.plan->options, cache.options().plan)) {
-      ++report.skipped_options;
       continue;
     }
     if (cache.insert(std::move(symbolic))) {

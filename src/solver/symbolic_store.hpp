@@ -1,21 +1,21 @@
 // Symbolic persistence — warm restarts for the solver service.
 //
-// A service restart used to throw away every cached analyze+plan: the
-// first request per pattern paid the full symbolic phase again. This
-// layer serializes the immutable SolverSymbolic state (analysis + plan)
-// to a versioned binary file and loads it back with full re-validation,
-// so `treemem_cli serve --state-dir` restarts warm — zero symbolic misses
-// on a repeated trace.
+// A restarted service would pay the whole symbolic phase again on the
+// first request per pattern. This layer persists its one expensive
+// product, the fill-reducing ordering, so `treemem_cli serve --state-dir`
+// restarts warm: zero symbolic misses on a repeated trace, no ordering rerun.
 //
-// Format: a little-structured native-endian binary stream ("TMSYMB01"
-// magic + u32 version, then length-prefixed arrays). The file carries the
-// build's AnalyzeOptions/PlanOptions and the pattern fingerprint; loading
-// re-validates all three (magic/version, fingerprint recomputed from the
-// decoded pattern, options equal to the consumer's) and reconstructs
-// SparsePattern/Tree through their validating constructors, so a stale,
-// truncated or foreign file can never smuggle malformed state into a
-// solver. Files are written to a temp name and renamed, so a crash
-// mid-write never leaves a half file behind.
+// Format (version 3): native-endian binary holding the "TMSYMB01" magic, a
+// u32 version, the AnalyzeOptions and PlanOptions, the pattern fingerprint,
+// the pattern (length-prefixed CSC arrays) and the permutation; nothing
+// derived. Loading checks magic, version, the fingerprint recomputed from
+// the validated pattern, the options (before any rebuild) and the
+// permutation, then rebuilds the permuted pattern, assembly tree, nnz(L)
+// and value map with the code analyze() runs after its ordering, and the
+// traversal with plan(). A stale, truncated, foreign or tampered file thus
+// fails with treemem::Error or yields what a cold build of its ordering
+// would; versions 1 and 2 are rejected. Writes go to a temp name and are
+// renamed, so a crash mid-write never leaves a half file behind.
 #pragma once
 
 #include <cstddef>
@@ -36,9 +36,11 @@ bool same_build_options(const PlanOptions& a, const PlanOptions& b);
 void write_symbolic_file(const SolverSymbolic& symbolic,
                          const std::string& path);
 
-/// Deserializes a SolverSymbolic from `path`. Throws treemem::Error when
-/// the file is missing, truncated, carries a wrong magic/version, or its
-/// stored fingerprint disagrees with the decoded pattern.
+/// Reads the ordering stored at `path` and rebuilds its analysis and plan
+/// under the file's own options. Throws treemem::Error when the file is
+/// missing, truncated, carries a wrong magic/version, its stored
+/// fingerprint disagrees with the decoded pattern, or the rebuild rejects
+/// the pattern, the permutation or the budget.
 SolverSymbolic read_symbolic_file(const std::string& path);
 
 /// The canonical file name for a pattern's symbolic state inside a state
@@ -58,9 +60,11 @@ SymbolicStoreReport save_symbolic_state(const SymbolicCache& cache,
                                         const std::string& dir);
 
 /// Loads every "*.tmsym" file under `dir` into `cache`, skipping files
-/// whose analyze/plan options differ from the cache's configuration and
-/// files that fail validation (a stale or corrupt state dir degrades to a
-/// cold start, never to an error). Missing directory = nothing to load.
+/// whose analyze/plan options differ from the cache's configuration
+/// (before rebuilding them) and files that fail validation (a stale or
+/// corrupt state dir degrades to a cold start, never to an error). Each
+/// loaded file costs a rebuild minus the ordering. Missing directory =
+/// nothing to load.
 SymbolicStoreReport load_symbolic_state(SymbolicCache& cache,
                                         const std::string& dir);
 

@@ -17,6 +17,13 @@ SparsePattern::SparsePattern(Index rows, Index cols,
   TM_CHECK(col_ptr_.back() == static_cast<std::int64_t>(row_idx_.size()),
            "col_ptr end " << col_ptr_.back() << " != nnz "
                           << row_idx_.size());
+  // Monotone from 0 to nnz keeps every column slice inside row_idx; check
+  // it before slicing any column.
+  for (Index j = 0; j < cols_; ++j) {
+    TM_CHECK(col_ptr_[static_cast<std::size_t>(j)] <=
+                 col_ptr_[static_cast<std::size_t>(j) + 1],
+             "col_ptr not monotone at column " << j);
+  }
 
   // Sort and deduplicate each column in place.
   std::vector<Index> scratch;
@@ -24,9 +31,6 @@ SparsePattern::SparsePattern(Index rows, Index cols,
   std::vector<Index> new_idx;
   new_idx.reserve(row_idx_.size());
   for (Index j = 0; j < cols_; ++j) {
-    TM_CHECK(col_ptr_[static_cast<std::size_t>(j)] <=
-                 col_ptr_[static_cast<std::size_t>(j) + 1],
-             "col_ptr not monotone at column " << j);
     scratch.assign(
         row_idx_.begin() + col_ptr_[static_cast<std::size_t>(j)],
         row_idx_.begin() + col_ptr_[static_cast<std::size_t>(j) + 1]);

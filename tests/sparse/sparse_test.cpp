@@ -35,6 +35,8 @@ TEST(Pattern, RejectsBadInput) {
   EXPECT_THROW(SparsePattern::from_coo(2, 2, {{0, -1}}), Error);
   EXPECT_THROW(SparsePattern(2, 2, {0, 1}, {0}), Error);      // bad col_ptr size
   EXPECT_THROW(SparsePattern(2, 2, {0, 2, 1}, {0, 1}), Error);  // not monotone
+  // Above nnz: rejected before column 0 is sliced past row_idx.
+  EXPECT_THROW(SparsePattern(2, 2, {0, 3, 2}, {0, 1}), Error);
 }
 
 TEST(Pattern, TransposeRoundTrip) {

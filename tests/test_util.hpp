@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <ios>
@@ -103,6 +104,41 @@ inline ::testing::AssertionResult bits_equal(const std::vector<double>& a,
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// One seeded mutation of a valid input, for the readers' mutation fuzz:
+/// a bit flip, a byte overwrite, a truncation, or the duplication of a
+/// range of up to 32 bytes at a random offset.
+inline std::vector<char> mutate_bytes(std::vector<char> bytes, Prng& prng) {
+  if (bytes.empty()) {
+    return bytes;
+  }
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        prng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::size_t at = below(bytes.size());
+  switch (prng.uniform_int(0, 3)) {
+    case 0:
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << prng.uniform_int(0, 7)));
+      break;
+    case 1:
+      bytes[at] = static_cast<char>(prng.uniform_int(0, 255));
+      break;
+    case 2:
+      bytes.resize(at);
+      break;
+    default: {
+      const std::size_t length =
+          1 + below(std::min<std::size_t>(bytes.size() - at, 32));
+      const std::vector<char> range(bytes.begin() + at,
+                                    bytes.begin() + at + length);
+      bytes.insert(bytes.begin() + below(bytes.size() + 1), range.begin(),
+                   range.end());
+      break;
+    }
+  }
+  return bytes;
 }
 
 }  // namespace treemem::testing
