@@ -16,6 +16,7 @@
 #include "support/ascii_plot.hpp"
 #include "support/text_table.hpp"
 #include "symbolic/assembly_tree.hpp"
+#include "symbolic/symbolic.hpp"
 
 using namespace treemem;
 
@@ -29,7 +30,9 @@ int main(int argc, char** argv) {
   const SparsePattern permuted = permute_symmetric(a, min_degree_order(a));
   AssemblyTreeOptions at_options;
   at_options.relax = 4;
-  const Tree tree = build_assembly_tree(permuted, at_options).tree;
+  const std::vector<Index> parent = elimination_tree(permuted);
+  const Tree tree =
+      amalgamate(parent, column_counts(permuted, parent), at_options).tree;
 
   const MinMemResult mm = minmem_optimal(tree);
   const Weight lo = std::max(tree.max_mem_req(), tree.file_size(tree.root()));

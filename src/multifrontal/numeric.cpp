@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/trace.hpp"
-#include "symbolic/symbolic.hpp"
 
 namespace treemem {
 
@@ -42,37 +41,20 @@ FrontalEngine::FrontalEngine(const SymmetricMatrix& matrix,
     : matrix_(&matrix),
       assembly_(&assembly),
       kernel_(make_front_kernel(kernel)) {
-  const Index n = matrix.size();
+  // The structure is the tree's, built once per pattern: check that it
+  // exists and describes this matrix, then copy the factor pattern.
   const Tree& tree = assembly.tree;
-  TM_CHECK(assembly.columns == n,
-           "assembly tree built for " << assembly.columns
-                                      << " columns, matrix has " << n);
-
-  // Member columns per supernode, ascending.
-  members_.assign(static_cast<std::size_t>(tree.size()), {});
-  for (Index j = 0; j < n; ++j) {
-    members_[static_cast<std::size_t>(
-                 assembly.supernode_of[static_cast<std::size_t>(j)])]
-        .push_back(j);
-  }
-
-  // Exact factor structure (column-merge symbolic factorization).
-  factor_.pattern = symbolic_cholesky(matrix.pattern());
+  TM_CHECK(assembly.member_ptr.size() ==
+               static_cast<std::size_t>(tree.size()) + 1,
+           "assembly tree carries no factor structure (amalgamate() builds "
+           "none); build it with build_assembly_tree");
+  TM_CHECK(assembly.pattern == matrix.pattern(),
+           "assembly tree was built for another pattern ("
+               << assembly.pattern.nnz() << " entries over "
+               << assembly.columns << " columns) than the matrix's ("
+               << matrix.pattern().nnz() << " over " << matrix.size() << ")");
+  factor_.pattern = assembly.factor_pattern;
   factor_.values.assign(static_cast<std::size_t>(factor_.pattern.nnz()), 0.0);
-
-  // Fronts are read off this pattern (see the header), so the tree's (η, µ)
-  // must describe it: η members, and µ rows in the top member's column.
-  for (std::size_t s = 0; s < members_.size(); ++s) {
-    const auto& cols = members_[s];
-    const std::size_t mu =
-        cols.empty() ? 0 : factor_.pattern.column(cols.back()).size();
-    TM_CHECK(cols.size() == static_cast<std::size_t>(assembly.eta[s]) &&
-                 mu == static_cast<std::size_t>(assembly.mu[s]),
-             "assembly tree (eta " << assembly.eta[s] << ", mu "
-                                   << assembly.mu[s] << ") does not match the "
-                                   << "matrix at supernode " << s << " (eta "
-                                   << cols.size() << ", mu " << mu << ")");
-  }
 
   blocks_.assign(static_cast<std::size_t>(tree.size()), {});
   transient_at_start_.assign(static_cast<std::size_t>(tree.size()), 0);
@@ -107,7 +89,7 @@ void FrontalEngine::process_front(NodeId s, FrontWorkspace& ws) {
   TM_CHECK(ws.front_pos.size() == static_cast<std::size_t>(matrix_->size()),
            "process_front: workspace not made by this engine");
   const SparsePattern& l_pattern = factor_.pattern;
-  const auto& cols = members_[static_cast<std::size_t>(s)];
+  const auto cols = assembly_->members_of(s);
 
   // Front rows: the members, then L(:,top) below the diagonal (see the
   // header); the latter are also the contribution block's rows.

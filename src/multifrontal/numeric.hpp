@@ -30,7 +30,10 @@
 // are its η member columns followed by L(:,top) below the diagonal — exactly
 // η + µ − 1 rows, the front of the paper's weights (Section VI-B), at every
 // relax. Relaxed amalgamation pads a front with explicit zeros inside it,
-// never with extra rows.
+// never with extra rows. The pattern and the member lists are part of the
+// assembly tree (build_assembly_tree computes them once per sparsity
+// pattern), so a factorization runs no symbolic code: the engine copies the
+// pattern into the factor and fills in values.
 //
 // Measured vs. modeled memory: the engine counts *measured* live factor
 // entries (resident contribution blocks + active fronts) in an atomic
@@ -120,11 +123,11 @@ class FrontWorkspace {
 /// per supernode; flop and live-entry counters are atomic.
 class FrontalEngine {
  public:
-  /// Precomputes the member columns and the factor pattern, whose column
-  /// at each supernode's top holds that front's rows below the members.
-  /// Throws treemem::Error unless every supernode's η and µ in `assembly`
-  /// match `matrix` (so fronts have η + µ − 1 rows). `kernel` tunes the
-  /// dense front kernel.
+  /// Does no symbolic work: the member columns and the factor pattern come
+  /// from `assembly` (build_assembly_tree), and the pattern is copied into
+  /// the factor. Throws treemem::Error if `assembly` carries no factor
+  /// structure (an amalgamate() tree) or was built on another pattern
+  /// than `matrix`'s. `kernel` tunes the dense front kernel.
   FrontalEngine(const SymmetricMatrix& matrix, const AssemblyTree& assembly,
                 const KernelConfig& kernel = {});
 
@@ -197,7 +200,6 @@ class FrontalEngine {
   const SymmetricMatrix* matrix_;
   const AssemblyTree* assembly_;
   std::unique_ptr<const FrontKernel> kernel_;
-  std::vector<std::vector<Index>> members_;  ///< columns per supernode
   CholeskyFactor factor_;
   std::vector<ContributionBlock> blocks_;
   std::vector<Weight> transient_at_start_;
@@ -237,7 +239,8 @@ MultifrontalResult factor_serial(FrontalEngine& engine,
 /// Factors `matrix` (already permuted!) with the multifrontal method,
 /// serially along the given traversal.
 ///
-/// `assembly` must come from build_assembly_tree on matrix.pattern();
+/// `assembly` must come from build_assembly_tree on matrix.pattern()
+/// (FrontalEngine refuses any other tree);
 /// `bottom_up_order` is an in-tree traversal of assembly.tree (children
 /// before parents) — e.g. reverse_traversal(minmem_optimal(tree).order).
 /// Throws if the order is invalid or the matrix does not match the tree.

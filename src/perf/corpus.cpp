@@ -96,7 +96,8 @@ Tree assembly_tree_for(const SparsePattern& symmetric_pattern,
   const SparsePattern permuted = permute_symmetric(symmetric_pattern, perm);
   AssemblyTreeOptions options;
   options.relax = relax;
-  return build_assembly_tree(permuted, options).tree;
+  const std::vector<Index> parent = elimination_tree(permuted);
+  return amalgamate(parent, column_counts(permuted, parent), options).tree;
 }
 
 std::vector<CorpusInstance> build_corpus_instances(const CorpusOptions& options) {

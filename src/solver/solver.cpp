@@ -128,8 +128,7 @@ Solver& Solver::analyze_ordered(const SparsePattern& pattern,
   AssemblyTreeOptions tree_options;
   tree_options.relax = options.relax;
   tree_options.perfect = options.perfect;
-  std::int64_t nnz_l = 0;
-  AssemblyTree assembly = build_assembly_tree(permuted, tree_options, &nnz_l);
+  AssemblyTree assembly = build_assembly_tree(permuted, tree_options);
 
   // Gather map: permuted entry (r, j) holds the original value at
   // (perm[r], perm[j]). Resolving those offsets once here turns every
@@ -161,7 +160,7 @@ Solver& Solver::analyze_ordered(const SparsePattern& pattern,
   analysis->permuted_pattern = std::move(permuted);
   analysis->assembly = std::move(assembly);
   analysis->permuted_value_map = std::move(value_map);
-  analysis->factor_nnz = nnz_l;
+  analysis->factor_nnz = analysis->assembly.factor_pattern.nnz();
   analysis->ordering_name = to_string(options.ordering);
   analysis->analyze_seconds = timer.elapsed_s();
 
@@ -215,6 +214,10 @@ const MinMemResult& Solver::cached_minmem() const {
 
 Solver& Solver::plan(const PlanOptions& options) {
   require_phase(Phase::kAnalyzed, "plan", "analyze()");
+  TM_CHECK(options.policy >= TraversalPolicy::kAuto &&
+               options.policy <= TraversalPolicy::kMinMem,
+           "Solver::plan: unknown traversal policy "
+               << static_cast<int>(options.policy));
   TM_CHECK(options.memory_budget > 0,
            "Solver::plan: memory budget must be positive");
   Timer timer;

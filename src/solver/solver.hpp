@@ -82,7 +82,7 @@ enum class TraversalPolicy {
   kAuto,
   kPostorder,
   kLiu,
-  kMinMem,
+  kMinMem,  ///< the last policy: plan() rejects any value past it
 };
 
 const char* to_string(TraversalPolicy policy);
@@ -183,6 +183,9 @@ struct SolverStats {
   std::int64_t factor_nnz = 0;       ///< nnz(L) incl. diagonal — the fill
   NodeId tree_nodes = 0;             ///< assembly-tree supernodes
   std::string ordering;              ///< ordering actually applied
+  /// All per-pattern work: the ordering, the elimination tree and column
+  /// counts, amalgamation and the factor's structure (L's pattern and the
+  /// member lists the engine reads fronts off).
   double analyze_seconds = 0.0;
 
   // plan
@@ -211,6 +214,8 @@ struct SolverStats {
   /// parallel runs, the planned traversal's peak on serial runs. Always
   /// >= measured_peak_entries and <= memory_budget.
   Weight modeled_peak_entries = 0;
+  /// Numeric work only: the value gather, copying the analyzed factor
+  /// pattern, and the fronts. No symbolic code runs here.
   double factorize_seconds = 0.0;
   int factorizations = 0;
   /// Parallel runs only: sum of per-front busy seconds / makespan.
@@ -231,10 +236,11 @@ struct SolverStats {
 };
 
 /// Immutable product of analyze(): the ordering, the permuted pattern, the
-/// amalgamated assembly tree and the value gather map — everything the
-/// numeric phases read — plus the reporting fields describing how (and
-/// how fast) it was built. Built once, then only ever read: safe to share
-/// across Solver instances and threads via shared_ptr<const>.
+/// amalgamated assembly tree with the factor's structure and the value
+/// gather map — everything the numeric phases read — plus the reporting
+/// fields describing how (and how fast) it was built. Built once, then
+/// only ever read: safe to share across Solver instances and threads via
+/// shared_ptr<const>.
 struct SolverAnalysis {
   AnalyzeOptions options;          ///< what built it
   SparsePattern pattern;           ///< analyzed pattern, original ordering

@@ -10,11 +10,6 @@ namespace treemem {
 
 namespace {
 
-bool same_pattern(const SparsePattern& a, const SparsePattern& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         a.col_ptr() == b.col_ptr() && a.row_idx() == b.row_idx();
-}
-
 std::size_t pattern_bytes(const SparsePattern& pattern) {
   return pattern.col_ptr().size() * sizeof(std::int64_t) +
          pattern.row_idx().size() * sizeof(Index);
@@ -51,6 +46,12 @@ std::size_t approx_symbolic_bytes(const SolverSymbolic& symbolic) {
                                                        // file/work/child-sum
   bytes += a.assembly.supernode_of.size() * sizeof(NodeId);
   bytes += (a.assembly.eta.size() + a.assembly.mu.size()) * sizeof(Index);
+  // The factor structure: the tree's own copy of the pattern, L's pattern
+  // and the member lists.
+  bytes += pattern_bytes(a.assembly.pattern) +
+           pattern_bytes(a.assembly.factor_pattern);
+  bytes += (a.assembly.member_ptr.size() + a.assembly.members.size()) *
+           sizeof(Index);
   bytes += p.bottom_up_order.size() * sizeof(NodeId);
   bytes += p.io_schedule.order.size() * sizeof(NodeId);
   bytes += p.io_schedule.writes.size() * sizeof(IoWrite);
@@ -92,7 +93,7 @@ std::shared_ptr<SymbolicCache::Entry> SymbolicCache::find_or_create(
   std::lock_guard<std::mutex> lock(map_mutex_);
   std::vector<std::shared_ptr<Entry>>& bucket = entries_[key];
   for (const std::shared_ptr<Entry>& candidate : bucket) {
-    if (same_pattern(candidate->pattern, pattern)) {
+    if (candidate->pattern == pattern) {
       lru_.splice(lru_.begin(), lru_, candidate->lru_pos);  // touch
       return candidate;
     }

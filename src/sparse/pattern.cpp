@@ -25,7 +25,28 @@ SparsePattern::SparsePattern(Index rows, Index cols,
              "col_ptr not monotone at column " << j);
   }
 
-  // Sort and deduplicate each column in place.
+  // Columns whose rows already increase strictly (every pattern this
+  // library derives, the factor's included) are kept as they are, after
+  // one range-checking pass; any other input is sorted and deduplicated.
+  bool sorted = true;
+  for (Index j = 0; j < cols_ && sorted; ++j) {
+    Index previous = -1;
+    for (std::int64_t k = col_ptr_[static_cast<std::size_t>(j)];
+         k < col_ptr_[static_cast<std::size_t>(j) + 1]; ++k) {
+      const Index r = row_idx_[static_cast<std::size_t>(k)];
+      TM_CHECK(r >= 0 && r < rows_,
+               "row index " << r << " out of range in column " << j);
+      if (r <= previous) {
+        sorted = false;
+        break;
+      }
+      previous = r;
+    }
+  }
+  if (sorted) {
+    return;
+  }
+
   std::vector<Index> scratch;
   std::vector<std::int64_t> new_ptr(col_ptr_.size(), 0);
   std::vector<Index> new_idx;

@@ -25,7 +25,8 @@ class SparsePattern {
   SparsePattern() = default;
 
   /// Builds from CSC arrays. Row indices must be in range; they are sorted
-  /// and deduplicated per column.
+  /// and deduplicated per column (input that is already strictly sorted
+  /// per column is kept as is, at the cost of one checking pass).
   SparsePattern(Index rows, Index cols, std::vector<std::int64_t> col_ptr,
                 std::vector<Index> row_idx);
 
@@ -48,6 +49,9 @@ class SparsePattern {
   const std::vector<Index>& row_idx() const { return row_idx_; }
 
   bool has_entry(Index row, Index col) const;
+
+  /// Same dimensions and the same entries.
+  bool operator==(const SparsePattern&) const = default;
 
   SparsePattern transposed() const;
   bool is_square() const { return rows_ == cols_; }

@@ -214,8 +214,7 @@ AssemblyTree amalgamate(const std::vector<Index>& parent,
 }
 
 AssemblyTree build_assembly_tree(const SparsePattern& a,
-                                 const AssemblyTreeOptions& options,
-                                 std::int64_t* factor_nnz) {
+                                 const AssemblyTreeOptions& options) {
   TM_CHECK(a.is_square(), "build_assembly_tree: pattern must be square");
   TM_CHECK(a.is_symmetric(),
            "build_assembly_tree: pattern must be symmetric (symmetrize first)");
@@ -223,10 +222,28 @@ AssemblyTree build_assembly_tree(const SparsePattern& a,
            "build_assembly_tree: pattern must have a full diagonal");
   const std::vector<Index> parent = elimination_tree(a);
   const std::vector<Index> counts = column_counts(a, parent);
-  if (factor_nnz != nullptr) {
-    *factor_nnz = std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
+  AssemblyTree result = amalgamate(parent, counts, options);
+  result.pattern = a;
+  result.factor_pattern = factor_pattern(a, parent, counts);
+
+  // Member lists: a counting sort of the columns by supernode, ascending
+  // within each.
+  const Index n = a.cols();
+  result.member_ptr.assign(static_cast<std::size_t>(result.tree.size()) + 1, 0);
+  for (const NodeId s : result.supernode_of) {
+    ++result.member_ptr[static_cast<std::size_t>(s) + 1];
   }
-  return amalgamate(parent, counts, options);
+  std::partial_sum(result.member_ptr.begin(), result.member_ptr.end(),
+                   result.member_ptr.begin());
+  result.members.resize(static_cast<std::size_t>(n));
+  std::vector<Index> cursor(result.member_ptr.begin(),
+                            result.member_ptr.end() - 1);
+  for (Index j = 0; j < n; ++j) {
+    const NodeId s = result.supernode_of[static_cast<std::size_t>(j)];
+    result.members[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(s)]++)] = j;
+  }
+  return result;
 }
 
 }  // namespace treemem

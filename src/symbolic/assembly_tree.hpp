@@ -12,7 +12,15 @@
 // column count of its highest (closest-to-root) node. MemReq(i) is then the
 // frontal matrix plus the children contribution blocks — the in-core
 // multifrontal assembly requirement.
+//
+// build_assembly_tree also stores the factor's structure, built once per
+// pattern from the same elimination tree and counts: the exact pattern of
+// L (factor_pattern, along the fundamental chains) and each supernode's
+// member columns. Every numeric factorization reads the fronts off it
+// (multifrontal/numeric.hpp) and does no symbolic work of its own.
 #pragma once
+
+#include <span>
 
 #include "sparse/pattern.hpp"
 #include "tree/tree.hpp"
@@ -42,18 +50,36 @@ struct AssemblyTree {
   /// Number of etree columns (original matrix dimension).
   Index columns = 0;
   bool has_virtual_root = false;
+
+  // Factor structure (build_assembly_tree only; amalgamate() leaves these
+  // empty, and FrontalEngine refuses such a tree).
+  /// The symmetric pattern the tree was built on. FrontalEngine compares
+  /// it exactly with the matrix it factors.
+  SparsePattern pattern;
+  /// Exact pattern of L, diagonal included. A supernode's front rows are
+  /// its members followed by L(:,top) below the diagonal.
+  SparsePattern factor_pattern;
+  /// Member columns of supernode s, ascending, at
+  /// members[member_ptr[s] .. member_ptr[s + 1]) (tree.size() + 1 offsets;
+  /// the inverse of supernode_of).
+  std::vector<Index> member_ptr;
+  std::vector<Index> members;
+
+  std::span<const Index> members_of(NodeId s) const {
+    return {members.data() + member_ptr[static_cast<std::size_t>(s)],
+            members.data() + member_ptr[static_cast<std::size_t>(s) + 1]};
+  }
 };
 
 /// Builds the assembly tree of a symmetric pattern (apply symmetrize()
-/// first; the pattern must have a full diagonal). A non-null `factor_nnz`
-/// receives nnz(L), the sum of the column counts the tree is built from, so
-/// a caller that needs both runs the elimination tree and counts once.
+/// first; the pattern must have a full diagonal), with its factor
+/// structure; nnz(L) is factor_pattern.nnz().
 AssemblyTree build_assembly_tree(const SparsePattern& a,
-                                 const AssemblyTreeOptions& options = {},
-                                 std::int64_t* factor_nnz = nullptr);
+                                 const AssemblyTreeOptions& options = {});
 
 /// Amalgamation on a precomputed elimination forest: exposed separately so
-/// tests can drive it with handcrafted parents/counts.
+/// tests can drive it with handcrafted parents/counts. The result has no
+/// factor structure (no pattern to build it from).
 AssemblyTree amalgamate(const std::vector<Index>& parent,
                         const std::vector<Index>& counts,
                         const AssemblyTreeOptions& options = {});

@@ -1,7 +1,9 @@
 #include "symbolic/symbolic.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <span>
 
 namespace treemem {
 
@@ -106,6 +108,105 @@ std::vector<Index> column_counts(const SparsePattern& a,
     }
   }
   return counts;
+}
+
+SparsePattern factor_pattern(const SparsePattern& a,
+                             const std::vector<Index>& parent,
+                             const std::vector<Index>& counts) {
+  TM_CHECK(a.is_square(), "factor_pattern: pattern must be square");
+  const Index n = a.cols();
+  TM_CHECK(parent.size() == static_cast<std::size_t>(n) &&
+               counts.size() == static_cast<std::size_t>(n),
+           "factor_pattern: parent/counts size mismatch");
+  const auto at = [](auto& v, Index i) -> decltype(auto) {
+    return v[static_cast<std::size_t>(i)];
+  };
+
+  // Children of every column, as CSR (ascending within a column).
+  std::vector<Index> child_ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (Index j = 0; j < n; ++j) {
+    const Index p = at(parent, j);
+    TM_CHECK(p == -1 || (p > j && p < n),
+             "factor_pattern: bad parent " << p << " of column " << j);
+    if (p != -1) {
+      ++at(child_ptr, p + 1);
+    }
+  }
+  std::partial_sum(child_ptr.begin(), child_ptr.end(), child_ptr.begin());
+  std::vector<Index> children(static_cast<std::size_t>(child_ptr.back()));
+  {
+    std::vector<Index> cursor(child_ptr.begin(), child_ptr.end() - 1);
+    for (Index j = 0; j < n; ++j) {
+      if (at(parent, j) != -1) {
+        at(children, at(cursor, at(parent, j))++) = j;
+      }
+    }
+  }
+  const auto child_count = [&](Index j) {
+    return at(child_ptr, j + 1) - at(child_ptr, j);
+  };
+  // Column j continues its chain into its parent.
+  const auto joins_parent = [&](Index j) {
+    const Index p = at(parent, j);
+    return p != -1 && child_count(p) == 1 &&
+           at(counts, p) == at(counts, j) - 1;
+  };
+
+  std::vector<std::int64_t> col_ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (Index j = 0; j < n; ++j) {
+    at(col_ptr, j + 1) = at(col_ptr, j) + at(counts, j);
+  }
+  std::vector<Index> row_idx(static_cast<std::size_t>(col_ptr.back()));
+
+  // Chains in order of their bottom column: a child chain's top is below
+  // the parent chain's bottom, so its S is already written when read.
+  std::vector<Index> chain;
+  std::vector<Index> below;  // S of the current chain
+  std::vector<Index> merged;
+  for (Index bottom = 0; bottom < n; ++bottom) {
+    if (child_count(bottom) == 1 &&
+        joins_parent(at(children, at(child_ptr, bottom)))) {
+      continue;  // not a chain bottom
+    }
+    chain.assign(1, bottom);
+    while (joins_parent(chain.back())) {
+      chain.push_back(at(parent, chain.back()));
+    }
+    const Index top = chain.back();
+
+    // S: c_1's column of A above the chain merged with each child chain's
+    // S above it, all sorted. A node with k children costs O(k·|S|), as in
+    // symbolic_cholesky's column merge.
+    const auto above_top = [top](std::span<const Index> rows) {
+      return rows.subspan(static_cast<std::size_t>(
+          std::upper_bound(rows.begin(), rows.end(), top) - rows.begin()));
+    };
+    const std::span<const Index> own = above_top(a.column(bottom));
+    below.assign(own.begin(), own.end());
+    for (Index c = at(child_ptr, bottom); c < at(child_ptr, bottom + 1); ++c) {
+      const Index child = at(children, c);
+      const std::span<const Index> rows =
+          above_top({row_idx.data() + at(col_ptr, child) + 1,
+                     row_idx.data() + at(col_ptr, child + 1)});
+      merged.clear();
+      std::set_union(below.begin(), below.end(), rows.begin(), rows.end(),
+                     std::back_inserter(merged));
+      below.swap(merged);
+    }
+    // Along the chain the counts drop by one per column, so checking the
+    // bottom's count keeps every column's writes inside its range.
+    TM_CHECK(chain.size() + below.size() ==
+                 static_cast<std::size_t>(at(counts, bottom)),
+             "factor_pattern: column counts do not match the pattern at "
+             "column " << bottom);
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      Index* out = row_idx.data() + at(col_ptr, chain[i]);
+      out = std::copy(chain.begin() + static_cast<std::ptrdiff_t>(i),
+                      chain.end(), out);
+      std::copy(below.begin(), below.end(), out);
+    }
+  }
+  return SparsePattern(n, n, std::move(col_ptr), std::move(row_idx));
 }
 
 SparsePattern symbolic_cholesky(const SparsePattern& a) {

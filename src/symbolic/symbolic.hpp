@@ -26,11 +26,21 @@ std::vector<Index> etree_postorder(const std::vector<Index>& parent);
 std::vector<Index> column_counts(const SparsePattern& a,
                                  const std::vector<Index>& parent);
 
+/// Pattern of L (including the diagonal) from the elimination forest and
+/// the exact column counts, built along the fundamental supernode chains
+/// (a column whose parent has it as only child and one entry less). On a
+/// chain c_1 < … < c_k, L(:,c_i) = {c_i, …, c_k} ∪ S with S = L(:,c_k)
+/// below the diagonal, so each chain's S is one sorted merge (c_1's column
+/// of A and its child chains' S) and every column is written as two
+/// contiguous runs. build_assembly_tree runs it once per pattern; the
+/// result equals symbolic_cholesky(a).
+SparsePattern factor_pattern(const SparsePattern& a,
+                             const std::vector<Index>& parent,
+                             const std::vector<Index>& counts);
+
 /// Full symbolic factorization (pattern of L, including the diagonal),
-/// by merging each column with its elimination-tree children. Not just a
-/// validation tool: FrontalEngine runs it on every factorize to build the
-/// factor's pattern, about 30 ms on grid2d 200² (mindeg) and 50 ms on the
-/// 27-point 20³ cube (nd) in a Release build on a 4-core AVX-512 host.
+/// by merging each column with its elimination-tree children. The test
+/// oracle for factor_pattern; no library path calls it.
 SparsePattern symbolic_cholesky(const SparsePattern& a);
 
 /// nnz(L) = sum of column counts (includes the diagonal).

@@ -17,6 +17,7 @@
 #include "sparse/generators.hpp"
 #include "support/prng.hpp"
 #include "symbolic/assembly_tree.hpp"
+#include "symbolic/symbolic.hpp"
 #include "tree/generators.hpp"
 
 namespace treemem {
@@ -215,6 +216,22 @@ TEST(Multifrontal, RejectsAnAssemblyTreeOfAnotherPattern) {
       build_assembly_tree(symmetrize(gen::grid2d(5, 5, true)));
   ASSERT_EQ(foreign.columns, a.size());
   EXPECT_THROW(FrontalEngine engine(a, foreign), Error);
+}
+
+TEST(Multifrontal, RefusesATreeWithoutFactorStructure) {
+  // amalgamate() sees only the forest and the counts, so its tree carries
+  // no factor pattern and no member lists: the engine has nothing to read
+  // the fronts off and must refuse it rather than rebuild them.
+  const SparsePattern pattern = symmetrize(gen::grid2d(5, 5));
+  const SymmetricMatrix a = make_spd_matrix(pattern, 3);
+  const std::vector<Index> parent = elimination_tree(pattern);
+  const AssemblyTree bare = amalgamate(parent, column_counts(pattern, parent));
+  ASSERT_EQ(bare.columns, a.size());
+  EXPECT_TRUE(bare.members.empty());
+  EXPECT_THROW(FrontalEngine engine(a, bare), Error);
+  const Traversal bottom_up =
+      reverse_traversal(best_postorder(bare.tree).order);
+  EXPECT_THROW(multifrontal_cholesky(a, bare, bottom_up), Error);
 }
 
 TEST(Multifrontal, FlopsArePositiveAndScaleWithFill) {

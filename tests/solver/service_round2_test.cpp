@@ -30,6 +30,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "perf/traffic.hpp"
 #include "solver/numeric_cache.hpp"
 #include "solver/solver.hpp"
@@ -101,6 +103,21 @@ TEST(SymbolicCacheEviction, MaxBytesCapBoundsResidentBytes) {
   const std::size_t a_bytes = approx_symbolic_bytes(probe.lookup(a).symbolic);
   const std::size_t b_bytes = approx_symbolic_bytes(probe.lookup(b).symbolic);
   ASSERT_GT(a_bytes, 0u);
+
+  // The estimate counts the factor structure the tree holds (L's pattern,
+  // the member lists, the tree's copy of the pattern): stripping it lowers
+  // the estimate by at least nnz(L) indices.
+  const SolverSymbolic a_state = probe.lookup(a).symbolic;
+  auto stripped = std::make_shared<SolverAnalysis>(*a_state.analysis);
+  stripped->assembly.pattern = SparsePattern();
+  stripped->assembly.factor_pattern = SparsePattern();
+  stripped->assembly.member_ptr.clear();
+  stripped->assembly.members.clear();
+  const std::size_t stripped_bytes =
+      approx_symbolic_bytes(SolverSymbolic{stripped, a_state.plan});
+  EXPECT_GE(a_bytes - stripped_bytes,
+            static_cast<std::size_t>(a_state.analysis->factor_nnz) *
+                sizeof(Index));
 
   SymbolicCacheOptions options;
   options.max_bytes = a_bytes + b_bytes / 2;  // room for one, not both
@@ -278,9 +295,13 @@ TEST(SymbolicCacheChurn, RotationAboveCapWithClearLosesNothing) {
 class SymbolicStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per test and process: ctest runs this fixture's tests
+    // as concurrent processes, and under ASan every process lays out its
+    // heap alike, so the fixture's address would not tell them apart.
     dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("treemem_store_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+           (std::string("treemem_store_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -338,6 +359,44 @@ TEST_F(SymbolicStoreTest, WarmRestartHasZeroMisses) {
   EXPECT_EQ(second.stats().misses, 0);  // the warm-restart contract
   expect_bit_identical_factor(second.lookup(patterns[0]).symbolic,
                               patterns[0], 5);
+}
+
+// The factor structure lives in the shared analysis: a solver adopting a
+// cache hit, or state rebuilt from a TMSYMB01 file, factors with it and
+// must reproduce the cold run's factor bit for bit, pattern included.
+TEST_F(SymbolicStoreTest, CacheHitAndWarmLoadRefactorizeBitsEqualToCold) {
+  const SparsePattern pattern = symmetrize(gen::grid2d(11, 9, true));
+  const SymmetricMatrix matrix = make_spd_matrix(pattern, 13);
+  SolverOptions options;
+  options.analyze.relax = 4;
+  Solver cold(options);
+  cold.analyze(pattern).plan().factorize(matrix);
+
+  const auto expect_cold_factor = [&](const SolverSymbolic& symbolic,
+                                      const char* route) {
+    Solver warm(options);
+    warm.adopt(symbolic).factorize(matrix);
+    EXPECT_TRUE(warm.factor().pattern == cold.factor().pattern) << route;
+    EXPECT_TRUE(testing::bits_equal(warm.factor().values,
+                                    cold.factor().values))
+        << route;
+    EXPECT_EQ(warm.stats().factor_nnz, cold.stats().factor_nnz) << route;
+  };
+
+  SymbolicCacheOptions cache_options;
+  cache_options.analyze = options.analyze;
+  SymbolicCache cache(cache_options);
+  ASSERT_FALSE(cache.lookup(pattern).hit);
+  const SymbolicCache::LookupResult hit = cache.lookup(pattern);
+  ASSERT_TRUE(hit.hit);
+  expect_cold_factor(hit.symbolic, "cache hit");
+
+  ASSERT_EQ(save_symbolic_state(cache, dir_.string()).saved, 1u);
+  SymbolicCache restarted(cache_options);
+  ASSERT_EQ(load_symbolic_state(restarted, dir_.string()).saved, 1u);
+  const SymbolicCache::LookupResult loaded = restarted.lookup(pattern);
+  ASSERT_TRUE(loaded.hit);
+  expect_cold_factor(loaded.symbolic, "warm load");
 }
 
 TEST_F(SymbolicStoreTest, LoadSkipsOptionMismatchesAndCorruptFiles) {
@@ -638,6 +697,60 @@ TEST(SolverPool, RepeatedValuesHitFactorCacheBitExactly) {
   EXPECT_EQ(pool.aggregated_stats().factorizations, 2);
   EXPECT_EQ(pool.factor_cache_stats().hits, 1);
   EXPECT_EQ(pool.factor_cache_stats().entries, 2u);
+}
+
+TEST(SolverPool, ConcurrentRefactorizationsOfOneSharedPatternAreBitsEqual) {
+  // Three pool workers refactorize one pattern at once, each reading the
+  // one shared analysis (and its factor structure) from the cache.
+  const SparsePattern pattern = symmetrize(gen::grid2d(14, 14));
+  constexpr int kRequests = 12;
+  SolverPoolOptions options;
+  options.workers = 3;
+  SolverPool pool(options);
+  std::vector<std::future<SolveOutcome>> futures;
+  for (int r = 0; r < kRequests; ++r) {
+    futures.push_back(pool.submit(
+        {make_spd_matrix(pattern, static_cast<std::uint64_t>(r % 3) + 1),
+         {seeded_rhs(pattern.cols(), 100 + static_cast<std::uint64_t>(r))}}));
+  }
+  for (int r = 0; r < kRequests; ++r) {
+    const SolveOutcome outcome = futures[static_cast<std::size_t>(r)].get();
+    Solver lone;
+    lone.analyze(pattern).plan().factorize(
+        make_spd_matrix(pattern, static_cast<std::uint64_t>(r % 3) + 1));
+    ASSERT_EQ(outcome.solutions.size(), 1u);
+    EXPECT_TRUE(testing::bits_equal(
+        outcome.solutions[0],
+        lone.solve(seeded_rhs(pattern.cols(),
+                              100 + static_cast<std::uint64_t>(r)))))
+        << "request " << r;
+  }
+  EXPECT_EQ(pool.cache_stats().misses, 1);
+
+  // The factors themselves, from three threads adopting the pool's cached
+  // state at once.
+  const SymmetricMatrix matrix = make_spd_matrix(pattern, 1);
+  Solver cold;
+  cold.analyze(pattern).plan().factorize(matrix);
+  const SolverSymbolic shared = pool.cache().lookup(pattern).symbolic;
+  std::vector<std::vector<double>> values(3);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < values.size(); ++t) {
+    threads.emplace_back([&, t] {
+      Solver warm;
+      FactorizeOptions serial;
+      serial.engine = FactorizeEngine::kSerial;
+      serial.workers = 1;
+      warm.adopt(shared).factorize(matrix, serial);
+      values[t] = warm.factor().values;
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const std::vector<double>& v : values) {
+    EXPECT_TRUE(testing::bits_equal(v, cold.factor().values));
+  }
 }
 
 TEST(SolverPool, FactorCacheRespectsMemoryBudget) {

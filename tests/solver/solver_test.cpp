@@ -282,6 +282,23 @@ TEST(SolverStateMachine, RejectsBadInputs) {
   EXPECT_THROW(solver.solve(std::vector<double>(7, 1.0)), Error);
 }
 
+TEST(Solver, PlanRejectsAnOutOfRangeTraversalPolicy) {
+  // An unnamed policy value matches no planner: plan() must refuse it,
+  // not "plan" an empty traversal with a zero peak for a pool to charge.
+  Solver solver;
+  solver.analyze(symmetrize(gen::grid2d(6, 6)));
+  PlanOptions plan;
+  plan.policy = static_cast<TraversalPolicy>(9);
+  EXPECT_THROW(solver.plan(plan), Error);
+  EXPECT_FALSE(solver.planned());
+  plan.policy = static_cast<TraversalPolicy>(-1);
+  EXPECT_THROW(solver.plan(plan), Error);
+  EXPECT_FALSE(solver.planned());
+  // The analysis survives: a valid policy still plans.
+  solver.plan();
+  EXPECT_GT(solver.stats().planned_peak_entries, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Solve: permutation round-trip, multi-RHS, residual
 // ---------------------------------------------------------------------------

@@ -302,5 +302,67 @@ TEST(Amalgamation, FrontRowsAreMembersThenTopColumn) {
   }
 }
 
+// build_assembly_tree stores L's pattern (built along the fundamental
+// chains) and the member lists; FrontalEngine factors with them and runs no
+// symbolic code. The column merge is the oracle for the pattern.
+TEST(Amalgamation, FactorStructureMatchesColumnMergeOracle) {
+  Prng holes(5);
+  std::vector<SparsePattern> patterns = {
+      symmetrize(gen::grid2d(12, 12)), symmetrize(gen::grid2d(10, 10, true)),
+      symmetrize(gen::grid2d_with_holes(12, 12, 0.2, holes)),
+      symmetrize(gen::grid3d(5, 5, 5, true))};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    patterns.push_back(random_spd_pattern(seed, 60, 3.0));
+  }
+  struct Variant {
+    Index relax;
+    bool perfect;
+  };
+  const std::vector<Variant> variants = {
+      {0, true}, {1, true}, {4, true}, {16, true}, {0, false}, {4, false}};
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    const SparsePattern& raw = patterns[p];
+    const std::vector<std::vector<Index>> orders = {
+        natural_order(raw.cols()), rcm_order(raw), min_degree_order(raw),
+        nested_dissection_order(raw)};
+    for (std::size_t o = 0; o < orders.size(); ++o) {
+      const SparsePattern a = permute_symmetric(raw, orders[o]);
+      const SparsePattern oracle = symbolic_cholesky(a);
+      for (const Variant variant : variants) {
+        AssemblyTreeOptions options;
+        options.relax = variant.relax;
+        options.perfect = variant.perfect;
+        const AssemblyTree at = build_assembly_tree(a, options);
+        const std::string where =
+            "pattern " + std::to_string(p) + " order " + std::to_string(o) +
+            " relax " + std::to_string(variant.relax) +
+            (variant.perfect ? "" : " imperfect");
+        EXPECT_TRUE(at.pattern == a) << where;
+        ASSERT_EQ(at.factor_pattern.col_ptr(), oracle.col_ptr()) << where;
+        ASSERT_EQ(at.factor_pattern.row_idx(), oracle.row_idx()) << where;
+
+        // The member CSR inverts supernode_of, ascending per supernode.
+        ASSERT_EQ(at.member_ptr.size(),
+                  static_cast<std::size_t>(at.tree.size()) + 1)
+            << where;
+        ASSERT_EQ(at.members.size(), static_cast<std::size_t>(a.cols()))
+            << where;
+        for (NodeId s = 0; s < at.tree.size(); ++s) {
+          const auto cols = at.members_of(s);
+          EXPECT_EQ(static_cast<Index>(cols.size()),
+                    at.eta[static_cast<std::size_t>(s)])
+              << where << " supernode " << s;
+          EXPECT_TRUE(std::is_sorted(cols.begin(), cols.end()))
+              << where << " supernode " << s;
+          for (const Index j : cols) {
+            EXPECT_EQ(at.supernode_of[static_cast<std::size_t>(j)], s)
+                << where << " column " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace treemem
